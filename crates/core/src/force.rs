@@ -1,3 +1,5 @@
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use meda_degradation::HealthLevel;
 use meda_grid::{Cell, Grid, Rect};
 
@@ -9,7 +11,8 @@ use meda_grid::{Cell, Grid, Rect};
 /// * [`HealthField`] — the controller's view: force estimated from the
 ///   quantized health matrix **H** (used for synthesis);
 /// * [`DegradationField`] — ground truth: force from the real-valued
-///   degradation matrix **D** (used by the simulator to sample outcomes).
+///   degradation matrix **D** (the simulated chip samples outcomes from
+///   the same law, read lazily per cell).
 ///
 /// Cells off the chip exert no force (they have no electrode), but still
 /// count toward the frontier size `|Fr|`, so a frontier hanging off the chip
@@ -85,6 +88,16 @@ pub struct HealthField {
     health: Grid<HealthLevel>,
     bits: u8,
     interpretation: HealthInterpretation,
+    /// See [`HealthField::stamp`].
+    stamp: u64,
+}
+
+/// Source of [`HealthField::stamp`]s. A relaxed counter suffices: the
+/// stamp only has to be unique, it publishes no other data.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(0);
+
+fn fresh_stamp() -> u64 {
+    NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }
 
 impl HealthField {
@@ -92,11 +105,7 @@ impl HealthField {
     /// interpretation.
     #[must_use]
     pub fn new(health: Grid<HealthLevel>, bits: u8) -> Self {
-        Self {
-            health,
-            bits,
-            interpretation: HealthInterpretation::Conservative,
-        }
+        Self::with_interpretation(health, bits, HealthInterpretation::Conservative)
     }
 
     /// Creates a force field with an explicit reading interpretation.
@@ -110,6 +119,7 @@ impl HealthField {
             health,
             bits,
             interpretation,
+            stamp: fresh_stamp(),
         }
     }
 
@@ -121,6 +131,7 @@ impl HealthField {
             health: self.health.clone(),
             bits: self.bits,
             interpretation,
+            stamp: self.stamp,
         }
     }
 
@@ -140,6 +151,32 @@ impl HealthField {
     #[must_use]
     pub fn bits(&self) -> u8 {
         self.bits
+    }
+
+    /// Overwrites one cell's reading in place — how an observer keeps **H**
+    /// current as single microelectrodes wear, without rebuilding the grid.
+    /// A reading that actually changes draws a fresh [`HealthField::stamp`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is off-chip.
+    pub fn set_level(&mut self, cell: Cell, level: HealthLevel) {
+        let slot = &mut self.health[cell];
+        if *slot != level {
+            *slot = level;
+            self.stamp = fresh_stamp();
+        }
+    }
+
+    /// An identity of the readings: two fields with equal stamps hold
+    /// identical health levels. Every constructed field and every changed
+    /// reading draws a process-unique stamp (clones and
+    /// [`HealthField::reinterpret`] share their source's until either
+    /// changes), so an observer can skip re-reading a field whose stamp it
+    /// has already seen.
+    #[must_use]
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// A digest of the health values inside `region`, used as a
@@ -343,6 +380,26 @@ mod tests {
         let degraded = HealthField::new(degraded_grid, 2);
         assert_ne!(full.digest(region), degraded.digest(region));
         assert_eq!(full.digest(region), full.digest(region));
+    }
+
+    #[test]
+    fn set_level_updates_one_cell_and_the_stamp() {
+        let dims = ChipDims::new(4, 4);
+        let region = Rect::new(1, 1, 4, 4);
+        let mut field = HealthField::new(Grid::new(dims, HealthLevel::full(2)), 2);
+        let other = HealthField::new(Grid::new(dims, HealthLevel::full(2)), 2);
+        assert_ne!(field.stamp(), other.stamp(), "every field starts unique");
+        let clone = field.clone();
+        assert_eq!(clone.stamp(), field.stamp());
+        let (stamp, digest) = (field.stamp(), field.digest(region));
+        field.set_level(Cell::new(2, 3), HealthLevel::full(2));
+        assert_eq!(field.stamp(), stamp, "an unchanged reading keeps the stamp");
+        field.set_level(Cell::new(2, 3), HealthLevel::new(1, 2));
+        assert!((field.cell_force(Cell::new(2, 3)) - 0.0625).abs() < 1e-12); // (1/4)²
+        assert!((field.cell_force(Cell::new(3, 2)) - 0.5625).abs() < 1e-12);
+        assert_ne!(field.digest(region), digest);
+        assert_ne!(field.stamp(), stamp);
+        assert_eq!(clone.stamp(), stamp, "the clone kept its readings");
     }
 
     #[test]

@@ -71,6 +71,10 @@ pub struct AdaptiveRouter {
     library: StrategyLibrary,
     job: Option<RoutingJob>,
     digest: u64,
+    /// The last health digest computed, keyed by the field's
+    /// [`HealthField::stamp`] and the bounds: most cycles change no reading
+    /// in the bounds, and then the digest needs no re-read of the cells.
+    health_digest: Option<((u64, Rect), u64)>,
     strategy: Option<Arc<RoutingStrategy>>,
     resynth_count: u64,
     synthesis_time: Duration,
@@ -103,6 +107,7 @@ impl AdaptiveRouter {
             library: StrategyLibrary::new(),
             job: None,
             digest: 0,
+            health_digest: None,
             strategy: None,
             resynth_count: 0,
             synthesis_time: Duration::ZERO,
@@ -144,8 +149,17 @@ impl AdaptiveRouter {
     /// whose change triggers a (warm prioritized) re-solve. With no hazard
     /// intersecting the bounds this is exactly the health digest, keeping
     /// the serial path bit-identical.
-    fn scoped_digest(&self, health: &HealthField, bounds: Rect) -> u64 {
-        health.digest(bounds) ^ hazard_digest(&self.hazards, bounds)
+    fn scoped_digest(&mut self, health: &HealthField, bounds: Rect) -> u64 {
+        let key = (health.stamp(), bounds);
+        let digest = match self.health_digest {
+            Some((seen, digest)) if seen == key => digest,
+            _ => {
+                let digest = health.digest(bounds);
+                self.health_digest = Some((key, digest));
+                digest
+            }
+        };
+        digest ^ hazard_digest(&self.hazards, bounds)
     }
 
     /// Pre-populates the strategy library offline for every routed job of a
@@ -454,9 +468,16 @@ mod tests {
         // Degrade a cell inside the bounds mid-job.
         let mut grid = Grid::new(dims, HealthLevel::full(2));
         grid[Cell::new(6, 2)] = HealthLevel::new(1, 2);
-        let changed = HealthField::new(grid, 2);
+        let mut changed = HealthField::new(grid, 2);
         let _ = r.next_action(Rect::new(2, 1, 4, 3), &changed);
         assert_eq!(r.resynth_count(), 1);
+        let _ = r.next_action(Rect::new(2, 1, 4, 3), &changed);
+        assert_eq!(r.resynth_count(), 1, "an unchanged field is no change");
+        // The same field degraded in place (as a chip keeps its **H**): the
+        // memoized digest must not hide the change.
+        changed.set_level(Cell::new(7, 2), HealthLevel::new(1, 2));
+        let _ = r.next_action(Rect::new(2, 1, 4, 3), &changed);
+        assert_eq!(r.resynth_count(), 2);
     }
 
     #[test]

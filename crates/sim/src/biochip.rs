@@ -1,7 +1,7 @@
 use meda_rng::Rng;
 
-use meda_core::{DegradationField, HealthField};
-use meda_degradation::{DegradationParams, ParamDistribution};
+use meda_core::{ForceProvider, HealthField};
+use meda_degradation::{quantize_health, DegradationParams, HealthLevel, ParamDistribution};
 use meda_grid::{Cell, ChipDims, Grid};
 
 use crate::FaultMode;
@@ -75,10 +75,12 @@ impl Default for DegradationConfig {
 /// The simulated MEDA biochip: per-MC degradation constants, actuation
 /// counts **N**, and sudden-fault thresholds.
 ///
-/// The chip exposes the two model fidelities of Section V-C:
-/// [`Biochip::degradation_field`] (ground truth **D**, for sampling
-/// outcomes) and [`Biochip::health_field`] (quantized **H**, what the
-/// controller can observe).
+/// The chip exposes the two model fidelities of Section V-C. Ground truth
+/// **D** is read lazily, one cell at a time: [`Biochip::degradation_at`],
+/// and the chip itself is a [`ForceProvider`] (`F̄ = D²`) the simulator
+/// samples outcomes from. The quantized **H** — what the controller can
+/// observe — is [`Biochip::health_field`], kept current in place as cells
+/// are actuated or killed.
 #[derive(Debug, Clone)]
 pub struct Biochip {
     dims: ChipDims,
@@ -86,25 +88,36 @@ pub struct Biochip {
     params: Grid<DegradationParams>,
     actuations: Grid<u64>,
     fault_at: Grid<Option<u64>>,
+    /// `quantize_health(degradation_at(c), bits)` for every cell.
+    health: HealthField,
 }
 
 impl Biochip {
     /// Generates a chip: every MC samples `(τ, c)` from the configured
     /// distributions, and fault placement follows the configured mode.
     pub fn generate(dims: ChipDims, config: &DegradationConfig, rng: &mut impl Rng) -> Self {
+        let bits = config.bits;
         let mut params = Grid::from_fn(dims, |_| config.normal.sample(rng));
         let mut fault_at: Grid<Option<u64>> = Grid::new(dims, None);
+        // A fresh MC reads full health (`τ^0 = 1`) unless it is faulty with
+        // a sudden-failure threshold of 0, so only faulty cells, written as
+        // their thresholds are drawn, can differ from the fill value.
+        let mut health = HealthField::new(Grid::new(dims, HealthLevel::full(bits)), bits);
         for cell in config.fault_mode.place(dims, config.fault_fraction, rng) {
             params[cell] = config.faulty.sample(rng);
             let (lo, hi) = config.fault_threshold;
-            fault_at[cell] = Some(rng.gen_range(lo..=hi));
+            let nf = rng.gen_range(lo..=hi);
+            fault_at[cell] = Some(nf);
+            let d = if nf == 0 { 0.0 } else { 1.0 };
+            health.set_level(cell, quantize_health(d, bits));
         }
         Self {
             dims,
-            bits: config.bits,
+            bits,
             params,
             actuations: Grid::new(dims, 0),
             fault_at,
+            health,
         }
     }
 
@@ -131,18 +144,24 @@ impl Biochip {
     }
 
     /// Applies an actuation pattern **U**: every actuated MC's count
-    /// increments (degrading it per its `(τ, c)` law). Returns the number
-    /// of MCs actuated.
+    /// increments (degrading it per its `(τ, c)` law) and its health
+    /// reading is re-quantized. Returns the number of MCs actuated.
     pub fn apply_actuation(&mut self, pattern: &Grid<bool>) -> usize {
         assert_eq!(pattern.dims(), self.dims, "pattern dims mismatch");
         let mut count = 0;
-        for (cell, &on) in pattern.iter() {
-            if on {
-                self.actuations[cell] += 1;
-                count += 1;
-            }
+        for (i, _) in pattern.as_slice().iter().enumerate().filter(|(_, &on)| on) {
+            let cell = self.dims.cell_at(i);
+            self.actuations[cell] += 1;
+            self.refresh_health(cell);
+            count += 1;
         }
         count
+    }
+
+    /// Re-reads one MC's health sensor after its degradation changed.
+    fn refresh_health(&mut self, cell: Cell) {
+        let level = quantize_health(self.degradation_at(cell), self.bits);
+        self.health.set_level(cell, level);
     }
 
     /// Ground-truth degradation of one MC: `τ^(n/c)`, or 0 after a faulty
@@ -158,24 +177,11 @@ impl Biochip {
         self.params[cell].degradation(n)
     }
 
-    /// The ground-truth degradation matrix **D** as a force field — the
-    /// distribution the simulator samples droplet outcomes from.
-    #[must_use]
-    pub fn degradation_field(&self) -> DegradationField {
-        DegradationField::new(Grid::from_fn(self.dims, |c| self.degradation_at(c)))
-    }
-
     /// The observable health matrix **H** (quantized **D**) as a force
     /// field — everything a router is allowed to see.
     #[must_use]
-    pub fn health_field(&self) -> HealthField {
-        let bits = self.bits;
-        HealthField::new(
-            Grid::from_fn(self.dims, |c| {
-                meda_degradation::quantize_health(self.degradation_at(c), bits)
-            }),
-            bits,
-        )
+    pub fn health_field(&self) -> &HealthField {
+        &self.health
     }
 
     /// Total actuations across the chip — a wear indicator used by the
@@ -191,6 +197,21 @@ impl Biochip {
     pub fn kill_cell(&mut self, cell: Cell) {
         if let Some(slot) = self.fault_at.get_mut(cell) {
             *slot = Some(0);
+            self.refresh_health(cell);
+        }
+    }
+}
+
+/// The ground-truth force field `F̄ = D²` (Eq. 1), read lazily per cell —
+/// the distribution the simulator samples droplet outcomes from. Off-chip
+/// cells exert no force, exactly as in [`meda_core::DegradationField`].
+impl ForceProvider for Biochip {
+    fn cell_force(&self, cell: Cell) -> f64 {
+        if self.dims.contains(cell) {
+            let d = self.degradation_at(cell);
+            d * d
+        } else {
+            0.0
         }
     }
 }
@@ -198,7 +219,6 @@ impl Biochip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use meda_core::ForceProvider;
     use meda_grid::Rect;
     use meda_rng::SeedableRng;
     use meda_rng::StdRng;

@@ -2,7 +2,7 @@ use meda_rng::Rng;
 
 use meda_bioassay::{BioassayPlan, PlannedMo, RoutingJob};
 use meda_cell::apply_stuck_bits;
-use meda_core::{transitions, Action, DegradationField, Dir, ForceProvider};
+use meda_core::{transitions, Action, Dir, ForceProvider};
 use meda_grid::{Cell, Grid, Rect};
 
 use crate::sensing::{locate_droplets, snap_to_size};
@@ -193,7 +193,7 @@ impl BioassayRunner {
             debug_assert!(ready
                 .iter()
                 .all(|&id| inputs_available(&plan.operations()[id].inputs, &exec.resting)));
-            let picked = scheduler.pick(&ready, plan, &exec.chip.health_field());
+            let picked = scheduler.pick(&ready, plan, exec.chip.health_field());
             debug_assert!(ready.contains(&picked), "scheduler picked a non-ready op");
             let mo = &plan.operations()[picked];
             let result = exec.exec_mo(mo, &mut |e, job, held, _| {
@@ -466,7 +466,7 @@ impl<'a, R: Rng> Exec<'a, R> {
         router: &mut dyn Router,
         held: &[Rect],
     ) -> Result<Rect, JobError> {
-        if !router.begin_job(job, &self.chip.health_field()) {
+        if !router.begin_job(job, self.chip.health_field()) {
             return Err(JobError {
                 status: RunStatus::NoRoute,
                 at: job.start,
@@ -496,7 +496,7 @@ impl<'a, R: Rng> Exec<'a, R> {
                     });
                 }
             }
-            let Some(action) = router.next_action(sensed, &self.chip.health_field()) else {
+            let Some(action) = router.next_action(sensed, self.chip.health_field()) else {
                 self.pending = Some(actual);
                 return Err(JobError {
                     status: RunStatus::NoRoute,
@@ -581,18 +581,18 @@ impl<'a, R: Rng> Exec<'a, R> {
     /// preserving seed reproducibility.
     pub(crate) fn sample(&mut self, droplet: Rect, action: Action) -> Rect {
         let chaos = self.chaos;
-        let field = if chaos.intermittent.is_empty() {
-            self.chip.degradation_field()
-        } else {
-            let mut grid = Grid::from_fn(self.chip.dims(), |c| self.chip.degradation_at(c));
-            for glitch in &chaos.intermittent {
-                if self.rng.gen_bool(glitch.probability) {
-                    if let Some(d) = grid.get_mut(glitch.cell) {
-                        *d = 0.0;
-                    }
-                }
+        if chaos.intermittent.is_empty() {
+            return sample_outcome(droplet, action, &*self.chip, &mut self.rng);
+        }
+        let mut dead = Vec::with_capacity(chaos.intermittent.len());
+        for glitch in &chaos.intermittent {
+            if self.rng.gen_bool(glitch.probability) {
+                dead.push(glitch.cell);
             }
-            DegradationField::new(grid)
+        }
+        let field = Glitched {
+            chip: &*self.chip,
+            dead: &dead,
         };
         sample_outcome(droplet, action, &field, &mut self.rng)
     }
@@ -761,6 +761,23 @@ pub fn sample_outcome<R: Rng>(
         roll -= outcome.probability;
     }
     outcomes.last().map_or(droplet, |o| o.droplet)
+}
+
+/// The chip's ground truth with this cycle's glitched cells acting dead —
+/// an overlay on the lazily read **D**, not a copy of it.
+struct Glitched<'a> {
+    chip: &'a Biochip,
+    dead: &'a [Cell],
+}
+
+impl ForceProvider for Glitched<'_> {
+    fn cell_force(&self, cell: Cell) -> f64 {
+        if self.dead.contains(&cell) {
+            0.0
+        } else {
+            self.chip.cell_force(cell)
+        }
+    }
 }
 
 /// Whether every input rectangle is currently parked (multiset
@@ -1123,5 +1140,77 @@ mod tests {
             )
         };
         assert_eq!(go(false), go(true));
+    }
+
+    /// The glitch overlay samples exactly like a whole-chip **D** snapshot
+    /// with the glitched cells zeroed: same outcome, same RNG draws — one
+    /// `gen_bool` per intermittent cell (duplicates and off-chip cells
+    /// included, in plan order) before the outcome roll.
+    #[test]
+    fn glitch_overlay_matches_zeroed_grid_reference() {
+        use crate::{FaultMode, IntermittentCell};
+        use meda_core::DegradationField;
+
+        let dims = ChipDims::new(10, 8);
+        let mut rng = StdRng::seed_from_u64(0x6117);
+        let mut chip = Biochip::generate(
+            dims,
+            &DegradationConfig::paper_with_faults(FaultMode::Uniform, 0.2),
+            &mut rng,
+        );
+        let mut wear = Grid::new(dims, false);
+        wear.fill_rect(Rect::new(2, 2, 7, 6), true);
+        for _ in 0..600 {
+            chip.apply_actuation(&wear);
+        }
+        let mut glitchy: Vec<Cell> = dims.cells().filter(|c| (c.x + c.y) % 2 == 0).collect();
+        glitchy.extend([Cell::new(0, 3), Cell::new(11, 8), Cell::new(1, 1)]);
+        let chaos = FaultPlan {
+            intermittent: glitchy
+                .into_iter()
+                .map(|cell| IntermittentCell {
+                    cell,
+                    probability: 0.4,
+                })
+                .collect(),
+            ..FaultPlan::none()
+        };
+
+        let mut meta = StdRng::seed_from_u64(0x6118);
+        let mut glitch_mattered = 0;
+        for _ in 0..300 {
+            let w = meta.gen_range(1..=3i32);
+            let h = meta.gen_range(1..=3i32);
+            let xa = meta.gen_range(1..=dims.width as i32 - w + 1);
+            let ya = meta.gen_range(1..=dims.height as i32 - h + 1);
+            let droplet = Rect::new(xa, ya, xa + w - 1, ya + h - 1);
+            let applicable: Vec<Action> = Action::ALL
+                .into_iter()
+                .filter(|a| a.is_applicable(droplet))
+                .collect();
+            let action = applicable[meta.gen_range(0..applicable.len())];
+
+            let mut run_rng = StdRng::seed_from_u64(meta.gen());
+            let mut reference_rng = run_rng.clone();
+            let lazy = Exec::new(RunConfig::default(), &mut chip, &mut run_rng, &chaos)
+                .sample(droplet, action);
+
+            let mut grid = Grid::from_fn(dims, |c| chip.degradation_at(c));
+            for glitch in &chaos.intermittent {
+                if reference_rng.gen_bool(glitch.probability) {
+                    if let Some(d) = grid.get_mut(glitch.cell) {
+                        *d = 0.0;
+                    }
+                }
+            }
+            let reference = DegradationField::new(grid);
+            let expected = sample_outcome(droplet, action, &reference, &mut reference_rng);
+            assert_eq!(lazy, expected, "{droplet} {action:?}");
+            assert_eq!(run_rng, reference_rng, "RNG draws diverged");
+            if transitions(droplet, action, &reference) != transitions(droplet, action, &chip) {
+                glitch_mattered += 1;
+            }
+        }
+        assert!(glitch_mattered > 0, "glitches never changed a distribution");
     }
 }

@@ -33,6 +33,7 @@ use meda_core::{Action, ActionConfig, HazardBox};
 use meda_grid::Rect;
 use meda_telemetry::{global, Json};
 
+use crate::serve::parse_coords;
 use crate::{CanonicalJob, Query, RoutingStrategy};
 
 /// On-disk schema identifier of a cache entry.
@@ -321,11 +322,7 @@ fn parse_rect(j: &Json) -> Result<Rect, String> {
     if a.len() != 4 {
         return Err(format!("rect needs 4 coords, got {}", a.len()));
     }
-    let mut c = [0i32; 4];
-    for (i, v) in a.iter().enumerate() {
-        let f = v.as_f64().ok_or("rect coord not a number")?;
-        c[i] = f as i32;
-    }
+    let c = parse_coords(a, "rect")?;
     Rect::try_new(c[0], c[1], c[2], c[3]).map_err(|e| format!("bad rect: {e:?}"))
 }
 
@@ -457,10 +454,7 @@ fn rehydrate(
             if a.len() != 5 {
                 return Err(format!("hazard needs 5 fields, got {}", a.len()));
             }
-            let mut c = [0i32; 4];
-            for (i, v) in a.iter().take(4).enumerate() {
-                c[i] = v.as_f64().ok_or("hazard coord not a number")? as i32;
-            }
+            let c = parse_coords(a, "hazard")?;
             Ok(HazardBox {
                 rect: Rect::try_new(c[0], c[1], c[2], c[3])
                     .map_err(|e| format!("bad hazard rect: {e:?}"))?,

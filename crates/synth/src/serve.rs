@@ -75,15 +75,37 @@ struct Prepared {
     transform: JobTransform,
 }
 
+/// Reads one integer coordinate. A JSON number that is not an integer in
+/// `i32` range (2.7, 1e12, NaN) is rejected, never truncated or saturated.
+fn parse_coord(v: &Json, what: &str) -> Result<i32, String> {
+    let x = v
+        .as_f64()
+        .ok_or_else(|| format!("{what} coord not a number"))?;
+    // `as` saturates out-of-range values and maps NaN to 0, so `x` is an
+    // integer in `i32` range exactly when it survives the round trip.
+    let n = x as i32;
+    if f64::from(n) != x {
+        return Err(format!("{what} coord {x} is not an integer in i32 range"));
+    }
+    Ok(n)
+}
+
+/// Reads the `[xa, ya, xb, yb]` coordinates at the head of `a` (a rect,
+/// or the first four fields of a hazard box).
+pub(crate) fn parse_coords(a: &[Json], what: &str) -> Result<[i32; 4], String> {
+    let mut c = [0i32; 4];
+    for (slot, v) in c.iter_mut().zip(a) {
+        *slot = parse_coord(v, what)?;
+    }
+    Ok(c)
+}
+
 fn parse_rect_arr(j: &Json) -> Result<Rect, String> {
     let a = j.as_arr().ok_or("expected [xa,ya,xb,yb]")?;
     if a.len() != 4 {
         return Err(format!("rect needs 4 coords, got {}", a.len()));
     }
-    let mut c = [0i32; 4];
-    for (i, v) in a.iter().enumerate() {
-        c[i] = v.as_f64().ok_or("rect coord not a number")? as i32;
-    }
+    let c = parse_coords(a, "rect")?;
     Rect::try_new(c[0], c[1], c[2], c[3]).map_err(|e| format!("bad rect: {e:?}"))
 }
 
@@ -162,10 +184,7 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
                 if a.len() != 5 {
                     return Err(format!("hazard needs 5 fields, got {}", a.len()));
                 }
-                let mut c = [0i32; 4];
-                for (i, v) in a.iter().take(4).enumerate() {
-                    c[i] = v.as_f64().ok_or("hazard coord not a number")? as i32;
-                }
+                let c = parse_coords(a, "hazard")?;
                 let factor = a[4].as_f64().ok_or("hazard factor not a number")?;
                 if !(0.0..=1.0).contains(&factor) {
                     return Err(format!("hazard factor {factor} outside [0, 1]"));
@@ -577,6 +596,49 @@ mod tests {
         let single = run_batch(&lines, &dir_a, 8, 1).expect("single");
         let pooled = run_batch(&lines, &dir_b, 8, 4).expect("pooled");
         assert_eq!(single.responses, pooled.responses);
+    }
+
+    fn request_with_start(start: &str) -> String {
+        format!(r#"{{"id":"x","bounds":[1,1,8,6],"start":{start},"goal":[7,5,8,6],"force":0.9}}"#)
+    }
+
+    #[test]
+    fn integral_coordinates_parse() {
+        let req = parse_request(&request_with_start("[1.0,1,2,2e0]")).expect("integral");
+        assert_eq!(req.start, Rect::new(1, 1, 2, 2));
+        assert_eq!(parse_coord(&Json::Num(-0.0), "rect"), Ok(0));
+    }
+
+    #[test]
+    fn fractional_coordinate_is_rejected() {
+        let err = parse_request(&request_with_start("[1,1,2.7,2]")).unwrap_err();
+        assert!(err.contains("rect coord 2.7"), "{err}");
+    }
+
+    #[test]
+    fn coordinate_above_i32_is_rejected() {
+        let err = parse_request(&request_with_start("[1,1,1e12,2]")).unwrap_err();
+        assert!(err.contains("not an integer in i32 range"), "{err}");
+    }
+
+    #[test]
+    fn coordinate_below_i32_is_rejected() {
+        let err = parse_request(&request_with_start("[-1e12,1,2,2]")).unwrap_err();
+        assert!(err.contains("not an integer in i32 range"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_coordinates_are_rejected() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert!(parse_coord(&Json::Num(x), "rect").is_err(), "{x}");
+        }
+    }
+
+    #[test]
+    fn fractional_hazard_coordinate_is_rejected() {
+        let line = r#"{"id":"h","bounds":[1,1,8,6],"start":[1,1,2,2],"goal":[7,5,8,6],"force":0.9,"hazards":[[3,3,4.5,4,0.5]]}"#;
+        let err = parse_request(line).unwrap_err();
+        assert!(err.contains("hazard coord 4.5"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, tier-1 build + tests, the meda-check
 # replay corpus, the concurrent-fleet smoke, the synthesis-service smoke,
-# and (unless --quick) the full-mode paper-scale synthesis bench, the
-# full-mode hard-chaos degradation matrix, the full-mode concurrent-makespan
-# bench, the full-mode serve-latency bench, the profile smoke, and the
-# benchmark-regression gate.
+# the end-to-end benchmark smoke with its exact-counter check against the
+# committed ledger, and (unless --quick) the full-mode paper-scale
+# synthesis bench, the full-mode hard-chaos degradation matrix, the
+# full-mode concurrent-makespan bench, the full-mode serve-latency bench,
+# the profile smoke, and the benchmark-regression gate.
 # Everything runs without network access (the workspace has zero
 # third-party dependencies — see DESIGN.md §6).
 #
@@ -138,48 +139,37 @@ profile_smoke() { cargo run --release -- profile covid-rat; }
 # Diff the fresh target/bench/ runs against the committed baselines;
 # >25% timing regressions in smoke mode fail (see EXPERIMENTS.md to re-bless).
 bench_gate()    { cargo run --release -p meda-bench --bin bench_compare -- synthesis chaos makespan serve; }
-# Negative self-test: against a fixture baseline with 1 ns timings the gate
-# MUST fire; if it exits 0 the gate is broken and CI should say so.
+# Negative self-tests: against each impossible fixture baseline the gate
+# MUST fire; if bench_compare exits 0 the gate is broken and CI says so.
+#   synthesis — 1 ns timings trip the timing gate;
+#   chaos     — absurd reconfig dominance margins trip the dominance-collapse
+#               check of any real full-mode chaos run;
+#   makespan  — absurd serial-vs-concurrent dominance margins trip the
+#               dominance-collapse check of any real full-mode makespan run;
+#   serve     — 1 ns latencies, a 1e9x warm-hit speedup and a 0.0 hit rate
+#               trip the timing and speedup gates of any real bench_serve run.
+# Columns: stage name | bench | fixture | the gate a pass would prove broken.
+GATE_SELFTESTS=(
+  "gate-selftest|synthesis|scripts/bench_regression_fixture.json|the gate"
+  "chaos-gate-selftest|chaos|scripts/chaos_regression_fixture.json|the dominance gate"
+  "makespan-gate-selftest|makespan|scripts/makespan_regression_fixture.json|the concurrent-makespan gate"
+  "serve-gate-selftest|serve|scripts/serve_regression_fixture.json|the serve gate"
+)
 gate_selftest() {
-  if cargo run --release -p meda-bench --bin bench_compare -- synthesis \
-      --baseline scripts/bench_regression_fixture.json; then
-    echo "gate-selftest: bench_compare passed against the impossible fixture — the gate is broken" >&2
+  local name=$1 bench=$2 fixture=$3 gate=$4
+  if cargo run --release -p meda-bench --bin bench_compare -- "$bench" --baseline "$fixture"; then
+    echo "$name: bench_compare passed against the impossible fixture — $gate is broken" >&2
     return 1
   fi
-  echo "gate-selftest: gate fired against the fixture baseline, as it must"
+  echo "$name: gate fired against the fixture baseline, as it must"
 }
-# Same negative self-test for the degradation-curve gate: the fixture
-# claims absurd reconfig dominance margins, so any real full-mode chaos run
-# must trip the dominance-collapse check in bench_compare.
-chaos_gate_selftest() {
-  if cargo run --release -p meda-bench --bin bench_compare -- chaos \
-      --baseline scripts/chaos_regression_fixture.json; then
-    echo "chaos-gate-selftest: bench_compare passed against the impossible fixture — the dominance gate is broken" >&2
-    return 1
-  fi
-  echo "chaos-gate-selftest: gate fired against the fixture baseline, as it must"
-}
-# Same negative self-test for the concurrent-makespan gate: the fixture
-# claims absurd serial-vs-concurrent dominance margins, so any real
-# full-mode makespan run must trip the dominance-collapse check.
-makespan_gate_selftest() {
-  if cargo run --release -p meda-bench --bin bench_compare -- makespan \
-      --baseline scripts/makespan_regression_fixture.json; then
-    echo "makespan-gate-selftest: bench_compare passed against the impossible fixture — the concurrent-makespan gate is broken" >&2
-    return 1
-  fi
-  echo "makespan-gate-selftest: gate fired against the fixture baseline, as it must"
-}
-# Same negative self-test for the serve gate: the fixture claims 1 ns
-# latencies, a 1e9x warm-hit speedup, and a 0.0 hit rate, so any real
-# full-mode bench_serve run must trip the timing and speedup gates.
-serve_gate_selftest() {
-  if cargo run --release -p meda-bench --bin bench_compare -- serve \
-      --baseline scripts/serve_regression_fixture.json; then
-    echo "serve-gate-selftest: bench_compare passed against the impossible fixture — the serve gate is broken" >&2
-    return 1
-  fi
-  echo "serve-gate-selftest: gate fired against the fixture baseline, as it must"
+# End-to-end benchmark smoke: every workload runs briefly, then
+# --verify-counts reruns them at the ledger's size and compares every
+# exact counter and outcome digest with the committed ledger.json, so a
+# "performance" change that alters behaviour fails here.
+bench_e2e_smoke() {
+  cargo run --release -p meda-bench --bin bench_e2e -- --workload all --smoke
+  cargo run --release -p meda-bench --bin bench_e2e -- --verify-counts
 }
 
 stage "fmt"            fmt
@@ -194,6 +184,7 @@ stage "audit-sound-selftest" audit_sound_selftest
 stage "check-smoke"    check_smoke
 stage "fleet-smoke"    fleet_smoke
 stage "serve-smoke"    serve_smoke
+stage "bench-e2e-smoke" bench_e2e_smoke
 if [ "$QUICK" -eq 0 ]; then
   stage "bench-full"              bench_full
   stage "chaos-full"              chaos_full
@@ -201,10 +192,10 @@ if [ "$QUICK" -eq 0 ]; then
   stage "serve-full"              serve_full
   stage "profile-smoke"           profile_smoke
   stage "bench-gate"              bench_gate
-  stage "gate-selftest"           gate_selftest
-  stage "chaos-gate-selftest"     chaos_gate_selftest
-  stage "makespan-gate-selftest"  makespan_gate_selftest
-  stage "serve-gate-selftest"     serve_gate_selftest
+  for row in "${GATE_SELFTESTS[@]}"; do
+    IFS='|' read -r name bench fixture gate <<< "$row"
+    stage "$name" gate_selftest "$name" "$bench" "$fixture" "$gate"
+  done
 else
   echo
   echo "==> --quick: skipping bench-full, chaos-full, makespan-full, serve-full, profile-smoke, bench-gate, gate-selftest, chaos-gate-selftest, makespan-gate-selftest, serve-gate-selftest"
