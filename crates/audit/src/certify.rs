@@ -3,9 +3,8 @@
 //! A value-iteration result can be *checked* independently of how it was
 //! produced: the certificate applies one exact backup of the claimed
 //! Bellman operator `T` and reports `max_i |T(v)_i − v_i|` — a
-//! warm-started or parallel-Jacobi solve that took a completely different
-//! trajectory through value space gets the same residual as a cold serial
-//! one.
+//! warm-started solve that took a completely different trajectory through
+//! value space gets the same residual as a cold one.
 //!
 //! **Scope of the claim.** A small residual proves `v` is an
 //! ε-*fixed-point* of `T`; it does **not** bound the distance to the true
@@ -106,26 +105,6 @@ pub fn bellman_certificate(art: &ModelArtifact, values: &[f64], kind: ValueKind)
         }
     }
     cert
-}
-
-/// Widens a single-precision value vector and certifies it against the
-/// exact `f64` Bellman operator — the acceptance gate of the solver's `f32`
-/// fast path. Returns the widened vector alongside its certificate so an
-/// accepted result can be used without a second conversion.
-///
-/// # Panics
-///
-/// Panics if `values.len()` differs from the artifact's state count (see
-/// [`bellman_certificate`]).
-#[must_use]
-pub fn certify_f32(
-    art: &ModelArtifact,
-    values: &[f32],
-    kind: ValueKind,
-) -> (Vec<f64>, Certificate) {
-    let wide: Vec<f64> = values.iter().map(|&v| f64::from(v)).collect();
-    let cert = bellman_certificate(art, &wide, kind);
-    (wide, cert)
 }
 
 /// One exact backup `T(v)_i` of the given operator. Also used by the

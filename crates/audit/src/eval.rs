@@ -7,7 +7,7 @@
 //! graph yields a Markov chain (one choice per state), whose value is a
 //! *linear* system — no max/min — and can therefore be solved exactly
 //! rather than iterated. The chain is condensed into strongly connected
-//! components (iterative Tarjan, mirroring `meda-core`); bottom components
+//! components (the shared `meda-core` Tarjan pass); bottom components
 //! are resolved structurally (a goal singleton is 1 / 0 cycles, any other
 //! recurrent class never reaches the goal: 0 / ∞); transient components
 //! are processed in reverse topological order, each solved by dense
@@ -17,7 +17,7 @@
 //! [`audit_strategy_value`] then requires to lie inside the certified
 //! `[lo, hi]` interval.
 
-use meda_core::Action;
+use meda_core::{tarjan_scc, Action};
 
 use crate::bounds::BOUNDS_SLACK;
 use crate::{BoundsCertificate, ModelArtifact, ValueKind, Violation};
@@ -56,8 +56,18 @@ pub(crate) fn evaluate_pick_exact(
     let telemetry = meda_telemetry::global();
     let _span = telemetry.span("audit.eval");
     let n = art.states;
-    let scc = chain_sccs(art, pick);
-    let comps = scc.comp_start.len() - 1;
+    // SCC condensation of the induced chain: edges are the branches of
+    // each state's picked choice only (self-loops are skipped — they are
+    // diagonal entries of the dense block, never component-forming).
+    let scc = tarjan_scc(
+        n,
+        |_| true,
+        |v| {
+            pick[v]
+                .map_or(0..0, |c| art.branch_range(c))
+                .map(|b| art.branch_target[b])
+        },
+    );
     let mut values = vec![0.0_f64; n];
     let mut pos = vec![0u32; n]; // local index within the current block
     let mut largest_block = 0usize;
@@ -65,8 +75,8 @@ pub(crate) fn evaluate_pick_exact(
     // Component ids are Tarjan emission order = reverse topological:
     // processing them in increasing id visits every component only after
     // all components it can reach.
-    for k in 0..comps {
-        let members = &scc.members[scc.comp_start[k] as usize..scc.comp_start[k + 1] as usize];
+    for k in 0..scc.components() {
+        let members = scc.members_of(k);
         let bottom = members.iter().all(|&u| {
             let u = u as usize;
             match pick[u] {
@@ -227,101 +237,6 @@ pub fn audit_strategy_value(
             lo: cert.lo[i],
             hi: cert.hi[i],
         }]
-    }
-}
-
-/// SCC condensation of the induced chain: edges are the branches of each
-/// state's picked choice only. Same iterative-Tarjan shape as
-/// `meda_core::RoutingMdp::condensation`; self-loops are skipped (they are
-/// diagonal entries of the dense block, never component-forming).
-struct ChainSccs {
-    component: Vec<u32>,
-    comp_start: Vec<u32>,
-    members: Vec<u32>,
-}
-
-fn chain_sccs(art: &ModelArtifact, pick: &[Option<usize>]) -> ChainSccs {
-    let n = art.states;
-    const UNVISITED: u32 = u32::MAX;
-    let edges = |i: usize| -> std::ops::Range<usize> {
-        match pick[i] {
-            Some(c) => art.branch_range(c),
-            None => 0..0,
-        }
-    };
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut component = vec![UNVISITED; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut comp_count = 0u32;
-    let mut dfs: Vec<(u32, u32)> = Vec::new();
-
-    for root in 0..n {
-        if index[root] != UNVISITED {
-            continue;
-        }
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(root as u32);
-        on_stack[root] = true;
-        dfs.push((root as u32, edges(root).start as u32));
-        while let Some(&mut (v, ref mut edge)) = dfs.last_mut() {
-            let v = v as usize;
-            if (*edge as usize) < edges(v).end {
-                let w = art.branch_target[*edge as usize] as usize;
-                *edge += 1;
-                if w == v {
-                    continue;
-                }
-                if index[w] == UNVISITED {
-                    index[w] = next_index;
-                    lowlink[w] = next_index;
-                    next_index += 1;
-                    stack.push(w as u32);
-                    on_stack[w] = true;
-                    dfs.push((w as u32, edges(w).start as u32));
-                } else if on_stack[w] {
-                    lowlink[v] = lowlink[v].min(index[w]);
-                }
-            } else {
-                dfs.pop();
-                if let Some(&(parent, _)) = dfs.last() {
-                    let p = parent as usize;
-                    lowlink[p] = lowlink[p].min(lowlink[v]);
-                }
-                if lowlink[v] == index[v] {
-                    while let Some(w) = stack.pop() {
-                        on_stack[w as usize] = false;
-                        component[w as usize] = comp_count;
-                        if w as usize == v {
-                            break;
-                        }
-                    }
-                    comp_count += 1;
-                }
-            }
-        }
-    }
-    let mut comp_start = vec![0u32; comp_count as usize + 1];
-    for &c in &component {
-        comp_start[c as usize + 1] += 1;
-    }
-    for k in 1..comp_start.len() {
-        comp_start[k] += comp_start[k - 1];
-    }
-    let mut cursor = comp_start.clone();
-    let mut members = vec![0u32; n];
-    for (s, &c) in component.iter().enumerate() {
-        members[cursor[c as usize] as usize] = s as u32;
-        cursor[c as usize] += 1;
-    }
-    ChainSccs {
-        component,
-        comp_start,
-        members,
     }
 }
 

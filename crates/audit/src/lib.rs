@@ -73,7 +73,7 @@ pub use bounds::{
     bracket_violations, compute_bounds, unsound_vi_fixture, verify_bounds, BoundsCertificate,
     BOUNDS_MAX_ITERATIONS, BOUNDS_SLACK,
 };
-pub use certify::{audit_values, bellman_certificate, certify_f32, Certificate, ValueKind};
+pub use certify::{audit_values, bellman_certificate, Certificate, ValueKind};
 pub use eval::{audit_strategy_value, evaluate_strategy, StrategyEvaluation, MAX_CHAIN_BLOCK};
 pub use model::{audit_model, census, MASS_EPSILON};
 pub use report::{AuditReport, Census, Violation};

@@ -11,15 +11,14 @@
 //! * **csr** — the current [`meda_core::RoutingMdp`] builder (perfect
 //!   dense state index + CSR transition arrays).
 //!
-//! On the solver side, each cell times three engines on the cold `Rmin`
+//! On the solver side, each cell times two engines on the cold `Rmin`
 //! query — the pre-PR whole-vector Gauss–Seidel baseline
-//! ([`SolverMethod::GaussSeidel`]), the structure-aware default
-//! (topological value iteration over the SCC condensation), and the
-//! certified `f32` fast path — and reports `construct_solve_speedup`,
-//! the construct+solve ratio of baseline over default engine (the
-//! ISSUE 6 ≥10x acceptance metric on the 90×90 rows). Warm re-solves on
-//! a degraded field run both the default engine and prioritized
-//! sweeping.
+//! ([`SolverMethod::GaussSeidel`]) and the structure-aware default
+//! (topological value iteration over the SCC condensation) — and reports
+//! `construct_solve_speedup`, the construct+solve ratio of baseline over
+//! default engine (a ≥10x acceptance metric on the 90×90 rows). Warm
+//! re-solves on a degraded field run both the default engine and
+//! prioritized sweeping.
 //!
 //! Run with `--smoke` for a single small cell (CI wiring); full mode
 //! sweeps the paper-scale matrix (Table V geometries up to 90×90).
@@ -208,9 +207,6 @@ struct CellResult {
     solve_gs_iterations: usize,
     solve_cold_ms: f64,
     solve_cold_iterations: usize,
-    solve_f32_ms: f64,
-    solve_f32_iterations: usize,
-    solve_f32_certified: bool,
     certify_ms: f64,
     certify_width: f64,
     certify_iterations: usize,
@@ -255,13 +251,6 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
         cold.converged && gs.converged,
         "cold solves did not converge"
     );
-    // The certified f32 fast path (certification time included — it is
-    // part of the path).
-    let f32_options = SolverOptions {
-        float32: true,
-        ..SolverOptions::default()
-    };
-    let (solve_f32_ms, f32_res) = best_of(reps, || min_expected_cycles(&mdp, f32_options.clone()));
     // The sound certification pass: certified [lo, hi] interval-iteration
     // bounds over the MEC quotient plus the from-scratch re-verification —
     // the full cost of turning the Rmin answer into a value claim
@@ -365,9 +354,6 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
         solve_gs_iterations: gs.iterations,
         solve_cold_ms,
         solve_cold_iterations: cold.iterations,
-        solve_f32_ms,
-        solve_f32_iterations: f32_res.iterations,
-        solve_f32_certified: f32_res.float32,
         certify_ms,
         certify_width: cert.width,
         certify_iterations: cert.iterations,
@@ -389,8 +375,8 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
     report.note = "construct_hashmap_ms is the pre-rewrite HashMap/nested-Vec builder \
                    reimplemented as a baseline; construct_csr_ms is the dense-index/CSR \
                    builder; solve_gs_ms is the pre-ISSUE-6 whole-vector Gauss-Seidel \
-                   engine, solve_cold_ms the topological default, solve_f32_ms the \
-                   certified f32 fast path; construct_solve_speedup = \
+                   engine, solve_cold_ms the topological default; \
+                   construct_solve_speedup = \
                    (construct_csr + solve_gs) / (construct_csr + solve_cold); \
                    certify_ms is the sound certification pass (interval-iteration \
                    bounds over the MEC quotient plus from-scratch re-verification, \
@@ -421,15 +407,6 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
         report.push(
             format!("{cell}.solve_cold_iterations"),
             c.solve_cold_iterations as f64,
-        );
-        report.push(format!("{cell}.solve_f32_ms"), c.solve_f32_ms);
-        report.push(
-            format!("{cell}.solve_f32_iterations"),
-            c.solve_f32_iterations as f64,
-        );
-        report.push(
-            format!("{cell}.solve_f32_certified"),
-            f64::from(u8::from(c.solve_f32_certified)),
         );
         report.push(format!("{cell}.certify_ms"), c.certify_ms);
         report.push(format!("{cell}.certify_width"), c.certify_width);
@@ -492,7 +469,7 @@ fn main() {
         ]
     };
 
-    let widths = [8, 8, 8, 11, 9, 10, 10, 9, 8, 8, 11];
+    let widths = [8, 8, 8, 11, 9, 10, 10, 9, 8, 11];
     header(
         &[
             "area",
@@ -503,7 +480,6 @@ fn main() {
             "gs it",
             "topo ms",
             "topo it",
-            "f32 ms",
             "cert ms",
             "c+s speedup",
         ],
@@ -522,7 +498,6 @@ fn main() {
                 format!("{}", c.solve_gs_iterations),
                 format!("{:.3}", c.solve_cold_ms),
                 format!("{}", c.solve_cold_iterations),
-                format!("{:.3}", c.solve_f32_ms),
                 format!("{:.3}", c.certify_ms),
                 format!("{:.2}x", c.construct_solve_speedup),
             ],

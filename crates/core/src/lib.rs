@@ -45,6 +45,7 @@ mod frontier;
 mod hazard;
 mod mdp;
 mod mec;
+mod scc;
 mod smg;
 mod transition;
 
@@ -56,9 +57,9 @@ pub use force::{
 pub use frontier::frontier_set;
 pub use hazard::{hazard_digest, HazardBox, HazardedField};
 pub use mdp::{
-    Branch, BuildError, Choice, Choices, ChoicesIter, Condensation, CsrView, HazardHandling,
-    MdpStats, RoutingMdp,
+    Branch, BuildError, Choice, Choices, ChoicesIter, CsrView, HazardHandling, MdpStats, RoutingMdp,
 };
 pub use mec::{mec_decomposition, MecDecomposition, NO_MEC};
+pub use scc::{tarjan_scc, Condensation};
 pub use smg::{DegradationMove, GameState, MedaGame, Player};
 pub use transition::{transitions, transitions_into, Outcome};

@@ -3,7 +3,7 @@ use std::fmt;
 use meda_grid::Rect;
 
 use crate::transition::TransitionCache;
-use crate::{Action, ActionConfig, ForceProvider, Outcome};
+use crate::{Action, ActionConfig, Condensation, ForceProvider, Outcome};
 
 /// Sentinel for "no entry" in the dense index and offset tables.
 const EMPTY: u32 = u32::MAX;
@@ -312,67 +312,6 @@ pub struct CsrView<'a> {
     pub branch_target: &'a [u32],
     /// Probability per branch.
     pub branch_prob: &'a [f64],
-}
-
-/// The strongly-connected-component condensation of an MDP's transition
-/// graph (edges: state → branch successor, over every choice), computed by
-/// an iterative Tarjan pass over the CSR arrays.
-///
-/// Components are numbered in Tarjan emission order, which is **reverse
-/// topological** over the condensation DAG: for any cross-component edge
-/// `u → v`, `component[v] < component[u]`. Sweeping components in
-/// increasing id therefore visits every state only after all of its
-/// out-of-component successors — the order topological value iteration
-/// wants (values flow backward from the absorbing goal components, which
-/// get the smallest ids among reachable components).
-///
-/// Self-loop branches (`i → i`) are ignored for the component structure —
-/// both solver operators factor them out analytically, so a singleton
-/// component never needs local iteration regardless of its self-loop mass.
-#[derive(Debug, Clone)]
-pub struct Condensation {
-    /// Component id per state.
-    pub component: Vec<u32>,
-    /// `components() + 1` offsets into [`Condensation::members`].
-    pub comp_start: Vec<u32>,
-    /// State indices grouped by component, components in increasing id.
-    pub members: Vec<u32>,
-}
-
-impl Condensation {
-    /// Number of components.
-    #[must_use]
-    pub fn components(&self) -> usize {
-        self.comp_start.len() - 1
-    }
-
-    /// The member states of component `k`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= components()`.
-    #[must_use]
-    pub fn members_of(&self, k: usize) -> &[u32] {
-        &self.members[self.comp_start[k] as usize..self.comp_start[k + 1] as usize]
-    }
-
-    /// Number of components with more than one state — the cyclic patches
-    /// that force within-component iteration.
-    #[must_use]
-    pub fn nontrivial(&self) -> usize {
-        (0..self.components())
-            .filter(|&k| self.members_of(k).len() > 1)
-            .count()
-    }
-
-    /// Size of the largest component.
-    #[must_use]
-    pub fn largest(&self) -> usize {
-        (0..self.components())
-            .map(|k| self.members_of(k).len())
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 /// How the `□¬hazard` part of the routing objective is encoded in the MDP
@@ -786,104 +725,33 @@ impl RoutingMdp {
         }
     }
 
-    /// Computes the SCC condensation of the transition graph with an
-    /// iterative Tarjan pass (explicit stack; no recursion, no
-    /// third-party deps). Roots are visited in state order, so the result
-    /// is deterministic. `O(states + transitions)`.
+    /// Computes the SCC condensation of the transition graph (edges: state
+    /// → branch successor, over every choice) with the shared iterative
+    /// Tarjan pass, [`crate::tarjan_scc`]. Roots are visited in state
+    /// order, so the result is deterministic. `O(states + transitions)`.
     ///
     /// Self-loop branches are skipped — see [`Condensation`].
     #[must_use]
     pub fn condensation(&self) -> Condensation {
         let telemetry = meda_telemetry::global();
         let _span = telemetry.span("mdp.condense");
-        let n = self.states.len();
-        const UNVISITED: u32 = u32::MAX;
-        let mut index = vec![UNVISITED; n]; // discovery index per state
-        let mut lowlink = vec![0u32; n];
-        let mut component = vec![UNVISITED; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<u32> = Vec::new(); // Tarjan's SCC stack
-        let mut next_index = 0u32;
-        let mut comp_count = 0u32;
-        // (state, next edge offset into branch_target) — the DFS frame.
-        let mut dfs: Vec<(u32, u32)> = Vec::new();
-
+        let (scs, cbs, targets) = (
+            &self.state_choice_start,
+            &self.choice_branch_start,
+            &self.branch_target,
+        );
         // All of a state's successors, across every choice, are one
         // contiguous branch_target run — the per-state edge list is a
         // single slice of the CSR arrays.
-        let edges_lo =
-            |i: usize| self.choice_branch_start[self.state_choice_start[i] as usize] as usize;
-        let edges_hi =
-            |i: usize| self.choice_branch_start[self.state_choice_start[i + 1] as usize] as usize;
-
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            dfs.push((root as u32, edges_lo(root) as u32));
-            index[root] = next_index;
-            lowlink[root] = next_index;
-            next_index += 1;
-            stack.push(root as u32);
-            on_stack[root] = true;
-            while let Some(&mut (v, ref mut edge)) = dfs.last_mut() {
-                let v = v as usize;
-                if (*edge as usize) < edges_hi(v) {
-                    let w = self.branch_target[*edge as usize] as usize;
-                    *edge += 1;
-                    if w == v {
-                        continue; // self-loop: factored analytically
-                    }
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        lowlink[w] = next_index;
-                        next_index += 1;
-                        stack.push(w as u32);
-                        on_stack[w] = true;
-                        dfs.push((w as u32, edges_lo(w) as u32));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                } else {
-                    dfs.pop();
-                    if let Some(&(parent, _)) = dfs.last() {
-                        let p = parent as usize;
-                        lowlink[p] = lowlink[p].min(lowlink[v]);
-                    }
-                    if lowlink[v] == index[v] {
-                        // v roots a component: pop it off the SCC stack.
-                        while let Some(w) = stack.pop() {
-                            on_stack[w as usize] = false;
-                            component[w as usize] = comp_count;
-                            if w as usize == v {
-                                break;
-                            }
-                        }
-                        comp_count += 1;
-                    }
-                }
-            }
-        }
-
-        // Group members by component with a counting pass.
-        let mut comp_start = vec![0u32; comp_count as usize + 1];
-        for &c in &component {
-            comp_start[c as usize + 1] += 1;
-        }
-        for k in 1..comp_start.len() {
-            comp_start[k] += comp_start[k - 1];
-        }
-        let mut cursor = comp_start.clone();
-        let mut members = vec![0u32; n];
-        for (s, &c) in component.iter().enumerate() {
-            members[cursor[c as usize] as usize] = s as u32;
-            cursor[c as usize] += 1;
-        }
-        Condensation {
-            component,
-            comp_start,
-            members,
-        }
+        crate::tarjan_scc(
+            self.states.len(),
+            |_| true,
+            move |i| {
+                let lo = cbs[scs[i] as usize] as usize;
+                let hi = cbs[scs[i + 1] as usize] as usize;
+                targets[lo..hi].iter().copied()
+            },
+        )
     }
 
     /// Computes the maximal end components of this MDP's transition

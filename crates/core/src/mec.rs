@@ -22,6 +22,8 @@
 //! the surviving SCCs are exactly the MECs. Absorbing states (no choices —
 //! goals and the hazard sink in this codebase) are never MEC members.
 
+use crate::tarjan_scc;
+
 /// Sentinel for states outside every maximal end component.
 pub const NO_MEC: u32 = u32::MAX;
 
@@ -107,15 +109,20 @@ pub fn mec_decomposition(
         .map(|i| state_choice_start[i] < state_choice_start[i + 1])
         .collect();
 
-    let mut scc = vec![NO_MEC; n];
-    loop {
-        restricted_sccs(
-            state_choice_start,
-            choice_branch_start,
-            branch_target,
-            &candidate,
-            &enabled,
-            &mut scc,
+    let scc = loop {
+        // SCCs of the sub-graph of candidate states and enabled choices;
+        // only candidates get numbered, and only their ids are compared.
+        let (cand, en) = (&candidate, &enabled);
+        let scc = tarjan_scc(
+            n,
+            |i| cand[i],
+            move |v| {
+                (state_choice_start[v] as usize..state_choice_start[v + 1] as usize)
+                    .filter(move |&c| en[c])
+                    .flat_map(move |c| &branch_target[branch_range(choice_branch_start, c)])
+                    .copied()
+                    .filter(move |&t| cand[t as usize])
+            },
         );
         let mut changed = false;
         for i in 0..n {
@@ -132,7 +139,7 @@ pub fn mec_decomposition(
                 }
                 let stays = branch_range(choice_branch_start, c).all(|b| {
                     let t = branch_target[b] as usize;
-                    t == i || (candidate[t] && scc[t] == scc[i])
+                    t == i || (candidate[t] && scc.component[t] == scc.component[i])
                 });
                 if stays {
                     any_enabled = true;
@@ -147,9 +154,9 @@ pub fn mec_decomposition(
             }
         }
         if !changed {
-            break;
+            break scc;
         }
-    }
+    };
 
     // At the fixpoint every surviving candidate keeps >= 1 choice whose
     // branches all stay in its SCC, so each surviving SCC is a MEC.
@@ -163,7 +170,7 @@ pub fn mec_decomposition(
         if !candidate[i] {
             continue;
         }
-        let s = scc[i] as usize;
+        let s = scc.component[i] as usize;
         if scc_to_mec[s] == NO_MEC {
             scc_to_mec[s] = mec_count;
             mec_count += 1;
@@ -210,102 +217,6 @@ fn branch_range(choice_branch_start: &[u32], c: usize) -> core::ops::Range<usize
 
 fn to_u32(i: usize) -> u32 {
     u32::try_from(i).expect("state index exceeds the u32 address space")
-}
-
-/// Iterative Tarjan over the sub-graph of `candidate` states and `enabled`
-/// choices, writing the component id of each candidate state into `scc`
-/// (non-candidates keep stale values; callers only compare ids between
-/// candidates). Self-loop branches are skipped — they never change SCC
-/// membership. Mirrors [`crate::RoutingMdp::condensation`]'s explicit-stack
-/// structure, restricted per edge.
-fn restricted_sccs(
-    state_choice_start: &[u32],
-    choice_branch_start: &[u32],
-    branch_target: &[u32],
-    candidate: &[bool],
-    enabled: &[bool],
-    scc: &mut [u32],
-) {
-    let n = candidate.len();
-    const UNVISITED: u32 = u32::MAX;
-    let mut index = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
-    let mut next_index = 0u32;
-    let mut comp_count = 0u32;
-    // DFS frame: (state, choice cursor, branch cursor within that choice).
-    let mut dfs: Vec<(u32, u32, u32)> = Vec::new();
-
-    for root in 0..n {
-        if !candidate[root] || index[root] != UNVISITED {
-            continue;
-        }
-        index[root] = next_index;
-        lowlink[root] = next_index;
-        next_index += 1;
-        stack.push(to_u32(root));
-        on_stack[root] = true;
-        dfs.push((to_u32(root), state_choice_start[root], 0));
-        while let Some(&mut (v, ref mut choice, ref mut branch)) = dfs.last_mut() {
-            let v = v as usize;
-            // Advance to the next edge: next branch of the current enabled
-            // choice, else the next enabled choice.
-            let mut next_target: Option<usize> = None;
-            while (*choice as usize) < state_choice_start[v + 1] as usize {
-                let c = *choice as usize;
-                if !enabled[c] {
-                    *choice += 1;
-                    *branch = 0;
-                    continue;
-                }
-                let lo = choice_branch_start[c];
-                let hi = choice_branch_start[c + 1];
-                if lo + *branch < hi {
-                    let t = branch_target[(lo + *branch) as usize] as usize;
-                    *branch += 1;
-                    if t == v || !candidate[t] {
-                        continue; // self-loop / pruned target: not an SCC edge
-                    }
-                    next_target = Some(t);
-                    break;
-                }
-                *choice += 1;
-                *branch = 0;
-            }
-            match next_target {
-                Some(w) => {
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        lowlink[w] = next_index;
-                        next_index += 1;
-                        stack.push(to_u32(w));
-                        on_stack[w] = true;
-                        dfs.push((to_u32(w), state_choice_start[w], 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                }
-                None => {
-                    dfs.pop();
-                    if let Some(&(parent, _, _)) = dfs.last() {
-                        let p = parent as usize;
-                        lowlink[p] = lowlink[p].min(lowlink[v]);
-                    }
-                    if lowlink[v] == index[v] {
-                        while let Some(w) = stack.pop() {
-                            on_stack[w as usize] = false;
-                            scc[w as usize] = comp_count;
-                            if w as usize == v {
-                                break;
-                            }
-                        }
-                        comp_count += 1;
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -326,7 +326,8 @@ mod tests {
     #[test]
     fn the_workspace_is_lint_clean() {
         // The acceptance bar for the whole repo: zero findings (after the
-        // declared allowlist), proven on every `cargo test` run.
+        // declared allowlist) and no stale allowlist entry, proven on every
+        // `cargo test` run.
         let report = lint_workspace(&compiled_workspace_root()).unwrap();
         assert!(
             report.files_scanned > 20,
@@ -339,6 +340,16 @@ mod tests {
                 .findings
                 .iter()
                 .map(|f| format!("{}:{}: [{}] {}", f.file, f.line, f.rule.name(), f.excerpt))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+        assert!(
+            report.unused_allows.is_empty(),
+            "unused lint-allow.toml entries (prune them):\n{}",
+            report
+                .unused_allows
+                .iter()
+                .map(|e| format!("{} / {} / {:?}", e.rule, e.file, e.pattern))
                 .collect::<Vec<_>>()
                 .join("\n")
         );

@@ -1,5 +1,6 @@
 //! CLI for `meda-lint`: lints the workspace and exits nonzero on any
-//! finding. Run as `cargo run -p meda-lint` (optionally `-- --root DIR`).
+//! finding or unused allowlist entry. Run as `cargo run -p meda-lint`
+//! (optionally `-- --root DIR`).
 
 #![forbid(unsafe_code)]
 
@@ -45,7 +46,7 @@ fn main() -> ExitCode {
     }
     for e in &report.unused_allows {
         eprintln!(
-            "warning: unused allowlist entry: rule `{}` file `{}`{} — prune it",
+            "error: unused allowlist entry: rule `{}` file `{}`{} — prune it",
             e.rule,
             e.file,
             e.pattern
@@ -55,12 +56,14 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "meda-lint: {} file(s), {} finding(s), {} suppressed by lint-allow.toml",
+        "meda-lint: {} file(s), {} finding(s), {} suppressed by lint-allow.toml, {} unused \
+         allowlist entries",
         report.files_scanned,
         report.findings.len(),
-        report.suppressed
+        report.suppressed,
+        report.unused_allows.len()
     );
-    if report.findings.is_empty() {
+    if report.findings.is_empty() && report.unused_allows.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -33,9 +33,9 @@ pub enum Rule {
     /// integer of 32 bits or less) in the numeric-kernel hot-path set: a
     /// silently truncating or precision-dropping cast inside a solver or
     /// certification loop corrupts values instead of failing. Deliberate
-    /// narrowing (the certified `f32` fast path, the `u32` state address
-    /// space) must carry an allowlist entry citing the invariant that
-    /// makes it lossless.
+    /// narrowing (the `u32` state address space, the priority-queue bucket
+    /// tag) must carry an allowlist entry citing the invariant that makes
+    /// it lossless.
     LossyCast,
     /// Bare slice indexing (`xs[i]`) in the numeric-kernel hot-path set:
     /// every kernel file whose unchecked indexing is justified (CSR
@@ -184,6 +184,7 @@ fn is_numeric_kernel(path: &str) -> bool {
         "crates/synth/src/solver.rs"
             | "crates/core/src/mdp.rs"
             | "crates/core/src/mec.rs"
+            | "crates/core/src/scc.rs"
             | "crates/audit/src/bounds.rs"
             | "crates/audit/src/eval.rs"
             | "crates/audit/src/certify.rs"

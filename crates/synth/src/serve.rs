@@ -33,6 +33,12 @@ use crate::cache::{CacheStats, PersistentCache};
 use crate::canonical::{canonicalize, CanonicalJob, JobTransform};
 use crate::Query;
 
+/// Largest chip extent `xb · yb` (in MCs) a request's bounds may span.
+/// Parsing allocates per bounds cell and canonicalization lifts the
+/// forces into an `xb × yb` grid, so the extent is checked before either;
+/// 256×256 leaves ample room above the paper's 90×90 chips.
+const MAX_CHIP_CELLS: i64 = 256 * 256;
+
 /// Operation requested by one serve line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeOp {
@@ -140,6 +146,12 @@ pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
     }
     if !bounds.contains_rect(start) || !bounds.contains_rect(goal) {
         return Err("start and goal must lie within bounds".into());
+    }
+    if i64::from(bounds.xb) * i64::from(bounds.yb) > MAX_CHIP_CELLS {
+        return Err(format!(
+            "bounds reach ({}, {}): a chip over {MAX_CHIP_CELLS} cells",
+            bounds.xb, bounds.yb
+        ));
     }
     let cell_count = bounds.width() as usize * bounds.height() as usize;
     let forces = if let Some(cells) = doc.get("cells") {
@@ -639,6 +651,33 @@ mod tests {
         let line = r#"{"id":"h","bounds":[1,1,8,6],"start":[1,1,2,2],"goal":[7,5,8,6],"force":0.9,"hazards":[[3,3,4.5,4,0.5]]}"#;
         let err = parse_request(line).unwrap_err();
         assert!(err.contains("hazard coord 4.5"), "{err}");
+    }
+
+    #[test]
+    fn oversized_bounds_are_rejected_before_allocating() {
+        let line = r#"{"id":"big","bounds":[1,1,100000,100000],"start":[1,1,2,2],"goal":[7,5,8,6],"force":0.9}"#;
+        let err = parse_request(line).unwrap_err();
+        assert!(err.contains("cells"), "{err}");
+        // The paper's 90×90 chip, anchored far from the origin, still fits.
+        let paper = r#"{"id":"p","bounds":[100,100,189,189],"start":[100,100,101,101],"goal":[188,188,189,189],"force":0.9}"#;
+        assert!(parse_request(paper).is_ok());
+    }
+
+    #[test]
+    fn deeply_nested_line_is_answered_and_the_stream_continues() {
+        let dir = temp_dir("nested");
+        let input = format!("{}\n{}\n", "[".repeat(100_000), request("after", 0, 0));
+        let mut output = Vec::new();
+        run_stream(input.as_bytes(), &mut output, &dir, 8).expect("stream");
+        let text = String::from_utf8(output).expect("utf8");
+        let replies: Vec<&str> = text.lines().collect();
+        assert_eq!(replies.len(), 2);
+        assert!(
+            replies[0].contains("\"status\":\"error\""),
+            "{}",
+            replies[0]
+        );
+        assert!(replies[1].contains("\"status\":\"ok\""), "{}", replies[1]);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The value-iteration engine behind [`crate::synthesize`]:
 //! structure-aware sweeps over the routing MDP's CSR arrays.
 //!
-//! Three sweep methods share one generic kernel (`f64` by default, `f32` on
-//! the certified fast path — see [`SolverOptions::float32`]):
+//! Three sweep methods share one `f64` Bellman kernel:
 //!
 //! * [`SolverMethod::Topological`] — sweep the SCC condensation of the
 //!   transition graph in reverse topological order. Acyclic stretches
@@ -44,13 +43,8 @@ use meda_core::{Action, Condensation, RoutingMdp};
 use meda_telemetry::Histogram;
 
 /// Sweep-engine selection for the value-iteration solver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverMethod {
-    /// Let the solver pick; currently resolves to
-    /// [`SolverMethod::Topological`], which dominates on routing models
-    /// whether they are near-acyclic (one backup per state) or one big
-    /// cyclic component (goal-ordered sweeps).
-    Auto,
     /// Whole-vector Gauss–Seidel sweeps in state order — the
     /// pre-condensation engine reproduced faithfully, including its
     /// unfactored `Pmax` backup (`v ← max_a Σ p·v` with self-loop mass
@@ -59,23 +53,15 @@ pub enum SolverMethod {
     /// methods are measured against.
     GaussSeidel,
     /// Topological value iteration over the SCC condensation
-    /// ([`meda_core::RoutingMdp::condensation`]).
+    /// ([`meda_core::RoutingMdp::condensation`]) — the default, which
+    /// dominates on routing models whether they are near-acyclic (one
+    /// backup per state) or one big cyclic component (goal-ordered
+    /// sweeps).
+    #[default]
     Topological,
     /// Prioritized sweeping with a bucketed priority queue seeded from the
     /// goal set; best for warm-started re-solves after local degradation.
     Prioritized,
-}
-
-impl SolverMethod {
-    /// Resolves [`SolverMethod::Auto`] to the concrete method the engine
-    /// will run.
-    #[must_use]
-    pub fn resolve(self) -> SolverMethod {
-        match self {
-            SolverMethod::Auto => SolverMethod::Topological,
-            m => m,
-        }
-    }
 }
 
 /// Options for the value-iteration solver.
@@ -105,29 +91,8 @@ pub struct SolverOptions {
     /// must start from 0 to converge to the *least* fixed point. Seeds of
     /// the wrong length are ignored.
     pub warm_start: Option<Vec<f64>>,
-    /// Opt into parallel Jacobi passes for sweeps over at least
-    /// [`SolverOptions::parallel_threshold`] states. Below the threshold
-    /// (and by default) the solver keeps serial Gauss–Seidel, which needs
-    /// fewer sweeps and has no thread overhead.
-    pub parallel: bool,
-    /// Minimum sweep width before [`SolverOptions::parallel`] takes
-    /// effect.
-    pub parallel_threshold: usize,
     /// Which sweep engine to run. See [`SolverMethod`].
     pub method: SolverMethod,
-    /// Run the sweeps on an `f32` value vector (half the memory traffic of
-    /// `f64`), then certify the widened result against the exact `f64`
-    /// Bellman operator via `meda-audit` — in release builds too. If the
-    /// certificate residual exceeds [`SolverOptions::f32_epsilon`] the
-    /// solver transparently falls back to the `f64` engine
-    /// ([`SolverResult::float32_fallback`]).
-    pub float32: bool,
-    /// Acceptance tolerance for the `f32` fast path's post-hoc Bellman
-    /// certificate. Single precision carries ~7 significant digits, so at
-    /// paper-scale `Rmin` values (hundreds of cycles) residuals below
-    /// ~1e-4 are unreachable; the default leaves headroom above that
-    /// noise floor.
-    pub f32_epsilon: f64,
 }
 
 impl Default for SolverOptions {
@@ -136,11 +101,7 @@ impl Default for SolverOptions {
             epsilon: 1e-9,
             max_iterations: 100_000,
             warm_start: None,
-            parallel: false,
-            parallel_threshold: 16_384,
-            method: SolverMethod::Auto,
-            float32: false,
-            f32_epsilon: 1e-3,
+            method: SolverMethod::Topological,
         }
     }
 }
@@ -182,92 +143,13 @@ pub struct SolverResult {
     /// [`SolverResult::converged`]; infinite if the budget ran out before
     /// any confirmation pass completed.
     pub residual: f64,
-    /// The concrete sweep method that ran ([`SolverMethod::Auto`] already
-    /// resolved).
+    /// The sweep method that ran.
     pub method: SolverMethod,
-    /// Whether these values come from the certified `f32` fast path.
-    pub float32: bool,
-    /// Whether an `f32` attempt failed certification and the solver fell
-    /// back to `f64`.
-    pub float32_fallback: bool,
 }
 
 // ---------------------------------------------------------------------------
-// Generic kernel: one Bellman backup, f32 or f64.
+// The kernel: one Bellman backup.
 // ---------------------------------------------------------------------------
-
-/// Float abstraction for the sweep kernels. Methods shadow the inherent
-/// `f32`/`f64` ones under distinct names so the impls cannot self-recurse.
-trait Scalar:
-    Copy
-    + PartialOrd
-    + std::ops::Add<Output = Self>
-    + std::ops::Sub<Output = Self>
-    + std::ops::Mul<Output = Self>
-    + std::ops::Div<Output = Self>
-    + std::ops::AddAssign
-    + Send
-    + Sync
-{
-    const ZERO: Self;
-    const ONE: Self;
-    const INF: Self;
-    fn from_f64(v: f64) -> Self;
-    fn to_f64(self) -> f64;
-    fn sabs(self) -> Self;
-    fn smax(self, other: Self) -> Self;
-    fn finite(self) -> bool;
-    fn infinite(self) -> bool;
-}
-
-impl Scalar for f64 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const INF: Self = f64::INFINITY;
-    fn from_f64(v: f64) -> Self {
-        v
-    }
-    fn to_f64(self) -> f64 {
-        self
-    }
-    fn sabs(self) -> Self {
-        f64::abs(self)
-    }
-    fn smax(self, other: Self) -> Self {
-        f64::max(self, other)
-    }
-    fn finite(self) -> bool {
-        f64::is_finite(self)
-    }
-    fn infinite(self) -> bool {
-        f64::is_infinite(self)
-    }
-}
-
-impl Scalar for f32 {
-    const ZERO: Self = 0.0;
-    const ONE: Self = 1.0;
-    const INF: Self = f32::INFINITY;
-    #[allow(clippy::cast_possible_truncation)]
-    fn from_f64(v: f64) -> Self {
-        v as f32
-    }
-    fn to_f64(self) -> f64 {
-        f64::from(self)
-    }
-    fn sabs(self) -> Self {
-        f32::abs(self)
-    }
-    fn smax(self, other: Self) -> Self {
-        f32::max(self, other)
-    }
-    fn finite(self) -> bool {
-        f32::is_finite(self)
-    }
-    fn infinite(self) -> bool {
-        f32::is_infinite(self)
-    }
-}
 
 /// Which Bellman operator a solve runs.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -280,27 +162,18 @@ enum Op {
     Rmin,
 }
 
-impl Op {
-    fn kind(self) -> meda_audit::ValueKind {
-        match self {
-            Op::Pmax => meda_audit::ValueKind::Reachability,
-            Op::Rmin => meda_audit::ValueKind::ExpectedCycles,
-        }
-    }
-}
-
-/// The per-state Bellman backup over borrowed CSR arrays, generic in the
-/// value scalar. Both operators factor pure self-loop mass analytically —
+/// The per-state Bellman backup over borrowed CSR arrays. Both operators
+/// factor pure self-loop mass analytically —
 /// `v = (r + Σ_{j≠i} p_j v_j) / (1 − p_self)` — so stay-in-place failure
 /// branches converge exactly in one backup and singleton SCCs need no
 /// iteration at all.
-struct Kernel<'a, S> {
+struct Kernel<'a> {
     op: Op,
     state_choice_start: &'a [u32],
     choice_action: &'a [Action],
     choice_branch_start: &'a [u32],
     branch_target: &'a [u32],
-    probs: &'a [S],
+    probs: &'a [f64],
     goal: &'a [bool],
     /// Use the pre-condensation backup semantics so
     /// [`SolverMethod::GaussSeidel`] stays a faithful reproduction of the
@@ -317,10 +190,10 @@ struct Kernel<'a, S> {
 /// "No choice picked" sentinel for the qualitative witness arrays.
 const NO_PICK: u32 = u32::MAX;
 
-impl<S: Scalar> Kernel<'_, S> {
+impl Kernel<'_> {
     /// Full greedy backup: optimizes over every choice, returning the new
     /// value and the argbest action.
-    fn eval(&self, i: usize, values: &[S], choice: &[Option<Action>]) -> (S, Option<Action>) {
+    fn eval(&self, i: usize, values: &[f64], choice: &[Option<Action>]) -> (f64, Option<Action>) {
         match self.op {
             Op::Pmax if self.legacy => self.eval_pmax_legacy(i, values),
             Op::Pmax => self.eval_pmax(i, values),
@@ -332,20 +205,20 @@ impl<S: Scalar> Kernel<'_, S> {
     /// self-loop renormalizes each action to its self-loop-free
     /// equivalent, which has the same reachability values; iteration from
     /// 0 stays monotone to the least fixed point.
-    fn eval_pmax(&self, i: usize, values: &[S]) -> (S, Option<Action>) {
+    fn eval_pmax(&self, i: usize, values: &[f64]) -> (f64, Option<Action>) {
         if self.goal[i] {
-            return (S::ONE, None);
+            return (1.0, None);
         }
-        let near_one = S::ONE - S::from_f64(1e-12);
-        let mut best = S::ZERO;
+        let near_one = 1.0 - 1e-12;
+        let mut best = 0.0;
         let mut best_action = None;
         let c_lo = self.state_choice_start[i] as usize;
         let c_hi = self.state_choice_start[i + 1] as usize;
         for c in c_lo..c_hi {
             let b_lo = self.choice_branch_start[c] as usize;
             let b_hi = self.choice_branch_start[c + 1] as usize;
-            let mut p_self = S::ZERO;
-            let mut rest = S::ZERO;
+            let mut p_self = 0.0;
+            let mut rest = 0.0;
             for b in b_lo..b_hi {
                 let j = self.branch_target[b] as usize;
                 let p = self.probs[b];
@@ -359,7 +232,7 @@ impl<S: Scalar> Kernel<'_, S> {
             if p_self >= near_one {
                 continue;
             }
-            let v = rest / (S::ONE - p_self);
+            let v = rest / (1.0 - p_self);
             if v > best {
                 best = v;
                 best_action = Some(self.choice_action[c]);
@@ -374,18 +247,18 @@ impl<S: Scalar> Kernel<'_, S> {
     /// branches recycle value geometrically across sweeps instead of
     /// converging in one backup. Same least fixed point, slower route —
     /// exactly what the benchmark speedups are measured against.
-    fn eval_pmax_legacy(&self, i: usize, values: &[S]) -> (S, Option<Action>) {
+    fn eval_pmax_legacy(&self, i: usize, values: &[f64]) -> (f64, Option<Action>) {
         if self.goal[i] {
-            return (S::ONE, None);
+            return (1.0, None);
         }
-        let mut best = S::ZERO;
+        let mut best = 0.0;
         let mut best_action = None;
         let c_lo = self.state_choice_start[i] as usize;
         let c_hi = self.state_choice_start[i + 1] as usize;
         for c in c_lo..c_hi {
             let b_lo = self.choice_branch_start[c] as usize;
             let b_hi = self.choice_branch_start[c + 1] as usize;
-            let mut v = S::ZERO;
+            let mut v = 0.0;
             for b in b_lo..b_hi {
                 v += self.probs[b] * values[self.branch_target[b] as usize];
             }
@@ -399,26 +272,31 @@ impl<S: Scalar> Kernel<'_, S> {
 
     /// `v(s) ← min_a (1 + Σ_{s'≠s} p·v) / (1 − p_self)`, skipping actions
     /// with an `∞`-valued successor unless all are.
-    fn eval_rmin(&self, i: usize, values: &[S], choice: &[Option<Action>]) -> (S, Option<Action>) {
+    fn eval_rmin(
+        &self,
+        i: usize,
+        values: &[f64],
+        choice: &[Option<Action>],
+    ) -> (f64, Option<Action>) {
         if self.goal[i] {
-            return (S::ZERO, None);
+            return (0.0, None);
         }
         let current = values[i];
         // A frozen `∞` seed (no almost-sure strategy) must stay `∞`. Under
         // the legacy engine every `∞` is a seed; the structured engines
         // start active states at `∞` too (from-above iteration) and rely
         // on the mask instead.
-        if Scalar::infinite(current) && (self.legacy || self.frozen.get(i) == Some(&true)) {
+        if current.is_infinite() && (self.legacy || self.frozen.get(i) == Some(&true)) {
             return (current, None);
         }
-        let near_one = S::ONE - S::from_f64(1e-12);
-        let mut best = S::INF;
+        let near_one = 1.0 - 1e-12;
+        let mut best = f64::INFINITY;
         let mut best_action = None;
         let c_lo = self.state_choice_start[i] as usize;
         let c_hi = self.state_choice_start[i + 1] as usize;
         'choices: for c in c_lo..c_hi {
-            let mut p_self = S::ZERO;
-            let mut rest = S::ZERO;
+            let mut p_self = 0.0;
+            let mut rest = 0.0;
             let b_lo = self.choice_branch_start[c] as usize;
             let b_hi = self.choice_branch_start[c + 1] as usize;
             for b in b_lo..b_hi {
@@ -426,7 +304,7 @@ impl<S: Scalar> Kernel<'_, S> {
                 let p = self.probs[b];
                 if j == i {
                     p_self += p;
-                } else if Scalar::infinite(values[j]) {
+                } else if values[j].is_infinite() {
                     continue 'choices;
                 } else {
                     rest += p * values[j];
@@ -435,13 +313,13 @@ impl<S: Scalar> Kernel<'_, S> {
             if p_self >= near_one {
                 continue;
             }
-            let v = (S::ONE + rest) / (S::ONE - p_self);
+            let v = (1.0 + rest) / (1.0 - p_self);
             if v < best {
                 best = v;
                 best_action = Some(self.choice_action[c]);
             }
         }
-        if Scalar::finite(best) {
+        if best.is_finite() {
             (best, best_action)
         } else {
             (current, choice[i])
@@ -707,12 +585,11 @@ struct EngineOutcome {
     residual: f64,
 }
 
-/// What a solve needs besides the numeric arrays.
+/// The query a solve answers, besides the numeric arrays and the
+/// [`SolverOptions`].
 struct SolveSpec<'a> {
     op: Op,
     goal: &'a [bool],
-    method: SolverMethod,
-    epsilon: f64,
     /// The iteration domain, when restricted: `false` marks states whose
     /// value is already exact (qualitative `Pmax` regions, `Rmin`'s
     /// `∞`-seeded states) and which no sweep phase needs to touch. The
@@ -735,15 +612,13 @@ enum MethodState {
     },
 }
 
-struct Engine<'a, S: Scalar> {
-    kernel: Kernel<'a, S>,
-    epsilon: S,
+struct Engine<'a> {
+    kernel: Kernel<'a>,
+    epsilon: f64,
     /// Deltas above this re-queue predecessors in the prioritized phase
     /// (half of epsilon, so sub-threshold leftovers stay well inside what
     /// the confirmation pass tolerates).
     push_threshold: f64,
-    parallel: bool,
-    parallel_threshold: usize,
     /// Total state-backup budget (`max_iterations × states`).
     budget: usize,
     evals: usize,
@@ -752,11 +627,11 @@ struct Engine<'a, S: Scalar> {
     active: Vec<bool>,
     /// Full greedy (all-choice) sweeps, for telemetry.
     greedy_sweeps: u64,
-    scratch_v: Vec<S>,
+    scratch_v: Vec<f64>,
     scratch_c: Vec<Option<Action>>,
 }
 
-impl<S: Scalar> Engine<'_, S> {
+impl Engine<'_> {
     /// Reserves `batch` state backups against the budget; `false` means
     /// the budget is exhausted and the phase must stop.
     fn try_charge(&mut self, batch: usize) -> bool {
@@ -767,90 +642,43 @@ impl<S: Scalar> Engine<'_, S> {
         true
     }
 
-    /// One full Jacobi pass over `states` against the frozen iterate:
-    /// evaluates into scratch (in parallel when opted in and the batch is
-    /// wide enough), then writes back serially, returning the max delta.
-    /// `changed` (when given) collects the states whose value moved.
-    ///
-    /// A panicking worker is re-raised on the calling thread via
-    /// [`std::panic::resume_unwind`] after every handle is joined, so no
-    /// scratch chunk is left dangling and no panic is swallowed.
+    /// One full Jacobi pass over every state against the frozen iterate:
+    /// evaluates into scratch, then writes back, returning the max delta.
+    /// `changed` collects the states whose value moved.
     fn jacobi_pass(
         &mut self,
-        states: &[u32],
-        values: &mut [S],
+        values: &mut [f64],
         choice: &mut [Option<Action>],
-        mut changed: Option<&mut Vec<u32>>,
-    ) -> S {
-        let m = states.len();
+        changed: &mut Vec<u32>,
+    ) -> f64 {
+        for (i, (sv, sc)) in self
+            .scratch_v
+            .iter_mut()
+            .zip(&mut self.scratch_c)
+            .enumerate()
         {
-            let frozen_v: &[S] = values;
-            let frozen_c: &[Option<Action>] = choice;
-            let kernel = &self.kernel;
-            let scratch_v = &mut self.scratch_v[..m];
-            let scratch_c = &mut self.scratch_c[..m];
-            if self.parallel && m >= self.parallel_threshold {
-                let threads = std::thread::available_parallelism()
-                    .map_or(1, std::num::NonZeroUsize::get)
-                    .min(m.max(1));
-                let chunk = m.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let mut handles = Vec::with_capacity(threads);
-                    for ((states_chunk, v_chunk), c_chunk) in states
-                        .chunks(chunk)
-                        .zip(scratch_v.chunks_mut(chunk))
-                        .zip(scratch_c.chunks_mut(chunk))
-                    {
-                        handles.push(scope.spawn(move || {
-                            for (k, &iu) in states_chunk.iter().enumerate() {
-                                let (v, a) = kernel.eval(iu as usize, frozen_v, frozen_c);
-                                v_chunk[k] = v;
-                                c_chunk[k] = a;
-                            }
-                        }));
-                    }
-                    let mut panicked = None;
-                    for h in handles {
-                        if let Err(payload) = h.join() {
-                            panicked = Some(payload);
-                        }
-                    }
-                    if let Some(payload) = panicked {
-                        std::panic::resume_unwind(payload);
-                    }
-                });
-            } else {
-                for (k, &iu) in states.iter().enumerate() {
-                    let (v, a) = kernel.eval(iu as usize, frozen_v, frozen_c);
-                    scratch_v[k] = v;
-                    scratch_c[k] = a;
-                }
-            }
+            (*sv, *sc) = self.kernel.eval(i, values, choice);
         }
-        let mut delta = S::ZERO;
-        for (k, &iu) in states.iter().enumerate() {
-            let i = iu as usize;
-            let v = self.scratch_v[k];
+        let mut delta = 0.0_f64;
+        for (i, (&v, &a)) in self.scratch_v.iter().zip(&self.scratch_c).enumerate() {
             // `v == values[i]` also covers matching infinities, where the
             // subtraction would produce NaN.
             if v != values[i] {
-                delta = delta.smax((v - values[i]).sabs());
-                if let Some(ch) = changed.as_deref_mut() {
-                    ch.push(iu);
-                }
+                delta = delta.max((v - values[i]).abs());
+                changed.push(i as u32);
             }
             values[i] = v;
-            choice[i] = self.scratch_c[k];
+            choice[i] = a;
         }
         delta
     }
 
-    /// Classic whole-vector sweeps until the in-place (or Jacobi) delta
-    /// drops below epsilon; the driver's confirmation pass then validates.
+    /// Classic whole-vector sweeps until the in-place delta drops below
+    /// epsilon; the engine's confirmation pass then validates.
     fn gauss_seidel_phase(
         &mut self,
         all: &[u32],
-        values: &mut [S],
+        values: &mut [f64],
         choice: &mut [Option<Action>],
         residuals: &Histogram,
     ) -> Phase {
@@ -864,12 +692,8 @@ impl<S: Scalar> Engine<'_, S> {
             if !self.try_charge(all.len()) {
                 return Phase::Budget;
             }
-            let delta = if self.parallel && all.len() >= self.parallel_threshold {
-                self.jacobi_pass(all, values, choice, None)
-            } else {
-                gs_sweep(&self.kernel, all, values, choice)
-            };
-            residuals.record(residual_p12(delta.to_f64()));
+            let delta = gs_sweep(&self.kernel, all, values, choice);
+            residuals.record(residual_p12(delta));
             if delta < self.epsilon {
                 return Phase::Done;
             }
@@ -894,7 +718,7 @@ impl<S: Scalar> Engine<'_, S> {
         cond: &Condensation,
         preds: &Preds,
         scratch: &mut TopoScratch,
-        values: &mut [S],
+        values: &mut [f64],
         choice: &mut [Option<Action>],
         sweeps_hist: &Histogram,
     ) -> Phase {
@@ -968,23 +792,17 @@ impl<S: Scalar> Engine<'_, S> {
             }
             let m = order.len();
             let mut sweeps = 0u64;
-            // While the from-above `∞` wavefront is still collapsing, a
-            // Jacobi pass (frozen iterate) can only advance it one edge
-            // layer per sweep; the readiness-ordered Gauss–Seidel sweep
-            // collapses it in one pass. Only finite sweeps are worth
-            // parallelizing.
-            let mut wave = order.iter().any(|&u| Scalar::infinite(values[u as usize]));
+            // The readiness-ordered Gauss–Seidel sweep collapses the
+            // from-above `∞` wavefront in one pass; until then the value
+            // re-sort below would only scramble that order.
+            let mut wave = order.iter().any(|&u| values[u as usize].is_infinite());
             let status = loop {
                 if !self.try_charge(m) {
                     break Phase::Budget;
                 }
                 sweeps += 1;
                 self.greedy_sweeps += 1;
-                let delta = if self.parallel && !wave && m >= self.parallel_threshold {
-                    self.jacobi_pass(order, values, choice, None)
-                } else {
-                    gs_sweep(&self.kernel, order, values, choice)
-                };
+                let delta = gs_sweep(&self.kernel, order, values, choice);
                 if delta < self.epsilon {
                     break Phase::Done;
                 }
@@ -994,7 +812,7 @@ impl<S: Scalar> Engine<'_, S> {
                     // wavefront from a live one — re-scan the values.
                     // Still-`∞` states (fenced behind frozen seeds) keep
                     // sweeping; the driver's restart net resolves them.
-                    wave = order.iter().any(|&u| Scalar::infinite(values[u as usize]));
+                    wave = order.iter().any(|&u| values[u as usize].is_infinite());
                     if wave {
                         continue;
                     }
@@ -1040,7 +858,7 @@ impl<S: Scalar> Engine<'_, S> {
         &mut self,
         queue: &mut BucketQueue,
         preds: &Preds,
-        values: &mut [S],
+        values: &mut [f64],
         choice: &mut [Option<Action>],
         stats: &mut PqStats,
     ) -> Phase {
@@ -1052,15 +870,14 @@ impl<S: Scalar> Engine<'_, S> {
             let i = iu as usize;
             let (v, a) = self.kernel.eval(i, values, choice);
             let delta = if v == values[i] {
-                S::ZERO
+                0.0
             } else {
-                (v - values[i]).sabs()
+                (v - values[i]).abs()
             };
             values[i] = v;
             choice[i] = a;
-            let d = delta.to_f64();
-            if d > self.push_threshold {
-                let bucket = queue.bucket_of(d);
+            if delta > self.push_threshold {
+                let bucket = queue.bucket_of(delta);
                 for &p in preds.of(i) {
                     let pi = p as usize;
                     if p != iu && self.active[pi] && !self.kernel.goal[pi] && queue.push(p, bucket)
@@ -1082,8 +899,8 @@ impl<S: Scalar> Engine<'_, S> {
 /// the `∞` seeds, exactly as [`Kernel::eval_rmin`]'s skip rule does.
 /// Choices with no non-self branch (numerically pure self-loops) never
 /// qualify; the backup skips those too.
-fn has_ready_choice<S: Scalar>(
-    kernel: &Kernel<'_, S>,
+fn has_ready_choice(
+    kernel: &Kernel<'_>,
     active: &[bool],
     cond: &Condensation,
     comp: u32,
@@ -1121,18 +938,18 @@ fn has_ready_choice<S: Scalar>(
 
 /// One in-place greedy Gauss–Seidel sweep over `order`, returning the max
 /// delta.
-fn gs_sweep<S: Scalar>(
-    kernel: &Kernel<'_, S>,
+fn gs_sweep(
+    kernel: &Kernel<'_>,
     order: &[u32],
-    values: &mut [S],
+    values: &mut [f64],
     choice: &mut [Option<Action>],
-) -> S {
-    let mut delta = S::ZERO;
+) -> f64 {
+    let mut delta = 0.0_f64;
     for &iu in order {
         let i = iu as usize;
         let (v, a) = kernel.eval(i, values, choice);
         if v != values[i] {
-            delta = delta.smax((v - values[i]).sabs());
+            delta = delta.max((v - values[i]).abs());
         }
         values[i] = v;
         choice[i] = a;
@@ -1156,18 +973,19 @@ fn residual_p12(delta: f64) -> u64 {
 /// *anchor frontier* — active predecessors of the goal set and of any
 /// frozen (inactive) state — where the first Bellman improvements can
 /// appear.
-fn build_method_state<S: Scalar>(
+fn build_method_state(
     mdp: &RoutingMdp,
     spec: &SolveSpec<'_>,
-    eng: &Engine<'_, S>,
+    options: &SolverOptions,
+    eng: &Engine<'_>,
     stats: &mut PqStats,
 ) -> MethodState {
     let telemetry = meda_telemetry::global();
     let csr = mdp.csr();
     let n = mdp.len();
-    match spec.method {
+    match options.method {
         SolverMethod::GaussSeidel => MethodState::GaussSeidel,
-        SolverMethod::Auto | SolverMethod::Topological => {
+        SolverMethod::Topological => {
             let cond = mdp.condensation();
             telemetry.add("synth.solve.scc.components", cond.components() as u64);
             telemetry.add("synth.solve.scc.nontrivial", cond.nontrivial() as u64);
@@ -1198,7 +1016,7 @@ fn build_method_state<S: Scalar>(
                 csr.choice_branch_start,
                 csr.branch_target,
             );
-            let mut queue = BucketQueue::new(n, spec.epsilon);
+            let mut queue = BucketQueue::new(n, options.epsilon);
             for i in 0..n {
                 if spec.goal[i] || !eng.active[i] {
                     for &p in preds.of(i) {
@@ -1216,12 +1034,11 @@ fn build_method_state<S: Scalar>(
 
 /// Runs the selected sweep method to (confirmed) convergence or budget
 /// exhaustion. See the module docs for the confirmation contract.
-fn run_engine<S: Scalar>(
+fn run_engine(
     mdp: &RoutingMdp,
     spec: &SolveSpec<'_>,
-    probs: &[S],
     options: &SolverOptions,
-    values: &mut [S],
+    values: &mut [f64],
     choice: &mut [Option<Action>],
 ) -> EngineOutcome {
     let telemetry = meda_telemetry::global();
@@ -1233,9 +1050,9 @@ fn run_engine<S: Scalar>(
         choice_action: csr.choice_action,
         choice_branch_start: csr.choice_branch_start,
         branch_target: csr.branch_target,
-        probs,
+        probs: csr.branch_prob,
         goal: spec.goal,
-        legacy: spec.method == SolverMethod::GaussSeidel,
+        legacy: options.method == SolverMethod::GaussSeidel,
         frozen: spec
             .active
             .map_or_else(Vec::new, |a| a.iter().map(|&b| !b).collect()),
@@ -1244,15 +1061,13 @@ fn run_engine<S: Scalar>(
     let domain: Vec<u32> = (0..n as u32).filter(|&i| active[i as usize]).collect();
     let mut eng = Engine {
         kernel,
-        epsilon: S::from_f64(spec.epsilon),
-        push_threshold: spec.epsilon / 2.0,
-        parallel: options.parallel,
-        parallel_threshold: options.parallel_threshold.max(1),
+        epsilon: options.epsilon,
+        push_threshold: options.epsilon / 2.0,
         budget: options.max_iterations.saturating_mul(n),
         evals: 0,
         active,
         greedy_sweeps: 0,
-        scratch_v: vec![S::ZERO; n],
+        scratch_v: vec![0.0; n],
         scratch_c: vec![None; n],
     };
     let residuals = telemetry.histogram("synth.solve.residual_p12");
@@ -1265,10 +1080,9 @@ fn run_engine<S: Scalar>(
         // and the confirmation pass alone certifies and assigns choices.
         MethodState::GaussSeidel
     } else {
-        build_method_state(mdp, spec, &eng, &mut stats)
+        build_method_state(mdp, spec, options, &eng, &mut stats)
     };
 
-    let all: Vec<u32> = (0..n as u32).collect();
     let mut changed: Vec<u32> = Vec::new();
     let mut converged = false;
     let mut residual = f64::INFINITY;
@@ -1292,9 +1106,9 @@ fn run_engine<S: Scalar>(
         // residual against the frozen iterate, where no in-place update or
         // drained-queue bookkeeping can hide outstanding error.
         changed.clear();
-        let delta = eng.jacobi_pass(&all, values, choice, Some(&mut changed));
-        residuals.record(residual_p12(delta.to_f64()));
-        residual = delta.to_f64();
+        let delta = eng.jacobi_pass(values, choice, &mut changed);
+        residuals.record(residual_p12(delta));
+        residual = delta;
         if delta < eng.epsilon {
             // From-above safety net: an active state still at `∞` after a
             // converged descent sits in a mutually-`∞` cluster the skip-∞
@@ -1306,13 +1120,13 @@ fn run_engine<S: Scalar>(
                 let stuck: Vec<u32> = (0..n as u32)
                     .filter(|&iu| {
                         let i = iu as usize;
-                        eng.active[i] && !spec.goal[i] && Scalar::infinite(values[i])
+                        eng.active[i] && !spec.goal[i] && values[i].is_infinite()
                     })
                     .collect();
                 if !stuck.is_empty() {
                     telemetry.add("synth.solve.rmin.inf_restarts", stuck.len() as u64);
                     for &iu in &stuck {
-                        values[iu as usize] = S::ZERO;
+                        values[iu as usize] = 0.0;
                     }
                     if let MethodState::Prioritized { preds, queue } = &mut state {
                         for &iu in &stuck {
@@ -1363,11 +1177,9 @@ fn run_engine<S: Scalar>(
     }
 }
 
-/// Dispatches one query through the engine, taking the `f32` fast path
-/// first when opted in: solve in single precision, widen, certify against
-/// the exact `f64` Bellman operator (in release builds too), and fall back
-/// to the `f64` engine if the certificate misses
-/// [`SolverOptions::f32_epsilon`].
+/// Dispatches one query through the engine: restricts the iteration
+/// domain for the structured methods, runs the sweeps, and installs the
+/// `Pmax` witness choices.
 fn solve_query(
     mdp: &RoutingMdp,
     op: Op,
@@ -1376,7 +1188,7 @@ fn solve_query(
     domain: Option<Vec<bool>>,
     options: &SolverOptions,
 ) -> SolverResult {
-    let method = options.method.resolve();
+    let method = options.method;
     let csr = mdp.csr();
     let n = mdp.len();
     // The structured methods restrict numeric iteration to the states that
@@ -1427,103 +1239,24 @@ fn solve_query(
             }
         }
     };
-    let init = init.as_slice();
-    // A certified almost-surely-winning action beats the degenerate
-    // first-of-equals tie break the confirmation sweep leaves on `Pmax = 1`
-    // states (where every sensible action backs up to exactly 1).
-    let apply_witness = |choice: &mut [Option<Action>]| {
-        if let Some(q) = &qual {
-            for (i, c) in q.witness.iter().enumerate() {
-                if q.prob1[i] && !goal[i] && *c != NO_PICK {
-                    choice[i] = Some(csr.choice_action[*c as usize]);
-                }
-            }
-        }
-    };
-    if options.float32 {
-        let telemetry = meda_telemetry::global();
-        #[allow(clippy::cast_possible_truncation)]
-        let probs32: Vec<f32> = csr.branch_prob.iter().map(|&p| p as f32).collect();
-        let mut v32: Vec<f32> = init.iter().map(|&v| f32::from_f64(v)).collect();
-        let mut c32: Vec<Option<Action>> = vec![None; n];
-        let spec = SolveSpec {
-            op,
-            goal,
-            method,
-            // Iterate somewhat past the acceptance tolerance so rounding
-            // noise in the final sweeps cannot eat the whole budget.
-            epsilon: options.epsilon.max(options.f32_epsilon / 4.0),
-            active: active.as_deref(),
-        };
-        let out = run_engine(mdp, &spec, &probs32, options, &mut v32, &mut c32);
-        let artifact = meda_audit::ModelArtifact::from(mdp);
-        let (wide, cert) = meda_audit::certify_f32(&artifact, &v32, op.kind());
-        // `inconsistent` is deliberately not consulted: near the
-        // `Pmax ≥ 1 − 1e-6` seeding threshold it can disagree with the
-        // solver's thresholding by design (see `debug_certify`).
-        if out.converged && cert.max_residual <= options.f32_epsilon && cert.out_of_range.is_empty()
-        {
-            telemetry.add("synth.solve.f32.used", 1);
-            apply_witness(&mut c32);
-            return SolverResult {
-                values: wide,
-                choice: c32,
-                iterations: out.iterations,
-                converged: true,
-                residual: out.residual,
-                method,
-                float32: true,
-                float32_fallback: false,
-            };
-        }
-        telemetry.add("synth.solve.f32.fallback", 1);
-        let mut values = init.to_vec();
-        let mut choice: Vec<Option<Action>> = vec![None; n];
-        let spec = SolveSpec {
-            op,
-            goal,
-            method,
-            epsilon: options.epsilon,
-            active: active.as_deref(),
-        };
-        let out = run_engine(
-            mdp,
-            &spec,
-            csr.branch_prob,
-            options,
-            &mut values,
-            &mut choice,
-        );
-        apply_witness(&mut choice);
-        return SolverResult {
-            values,
-            choice,
-            iterations: out.iterations,
-            converged: out.converged,
-            residual: out.residual,
-            method,
-            float32: false,
-            float32_fallback: true,
-        };
-    }
-    let mut values = init.to_vec();
+    let mut values = init;
     let mut choice: Vec<Option<Action>> = vec![None; n];
     let spec = SolveSpec {
         op,
         goal,
-        method,
-        epsilon: options.epsilon,
         active: active.as_deref(),
     };
-    let out = run_engine(
-        mdp,
-        &spec,
-        csr.branch_prob,
-        options,
-        &mut values,
-        &mut choice,
-    );
-    apply_witness(&mut choice);
+    let out = run_engine(mdp, &spec, options, &mut values, &mut choice);
+    // A certified almost-surely-winning action beats the degenerate
+    // first-of-equals tie break the confirmation sweep leaves on `Pmax = 1`
+    // states (where every sensible action backs up to exactly 1).
+    if let Some(q) = &qual {
+        for (i, c) in q.witness.iter().enumerate() {
+            if q.prob1[i] && !goal[i] && *c != NO_PICK {
+                choice[i] = Some(csr.choice_action[*c as usize]);
+            }
+        }
+    }
     SolverResult {
         values,
         choice,
@@ -1531,8 +1264,6 @@ fn solve_query(
         converged: out.converged,
         residual: out.residual,
         method,
-        float32: false,
-        float32_fallback: false,
     }
 }
 
@@ -1587,7 +1318,7 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
 /// Dev-build certification hook: every converged solve leaving this module
 /// must pass `meda-audit`'s Bellman-residual certificate — one exact backup
 /// of the claimed operator, independent of the solver's trajectory (any
-/// method, warm-started or parallel alike).
+/// method, cold or warm-started alike).
 ///
 /// The engine's confirmation sweep guarantees the frozen-iterate residual
 /// is below `epsilon` at convergence, and both operators are 1-Lipschitz,
@@ -1595,9 +1326,6 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
 /// the certificate gets a 4x allowance over `epsilon` (floored near f64
 /// round-off) rather than the orders-of-magnitude slack the unconfirmed
 /// in-place delta used to need.
-///
-/// Accepted `f32` results are skipped: they were already certified — in
-/// release builds too — at [`SolverOptions::f32_epsilon`].
 ///
 /// Only the residual over finite states is asserted here: near the
 /// `Pmax ≥ 1 − 1e-6` seeding threshold a heavily degraded field can make
@@ -1613,7 +1341,7 @@ fn debug_certify(
     options: &SolverOptions,
 ) {
     #[cfg(debug_assertions)]
-    if result.converged && !result.float32 {
+    if result.converged {
         let artifact = meda_audit::ModelArtifact::from(mdp);
         let cert = meda_audit::bellman_certificate(&artifact, &result.values, kind);
         let tolerance = (options.epsilon * 4.0).max(1e-9);
@@ -1693,7 +1421,7 @@ pub fn min_expected_cycles_with_reach(
     // sweeps as same-layer neighbors bootstrap off each other's
     // underestimates. A warm-start seed (a from-below bound) or the
     // Gauss–Seidel baseline keep the pre-optimization from-0 ascent.
-    let from_above = options.method.resolve() != SolverMethod::GaussSeidel;
+    let from_above = options.method != SolverMethod::GaussSeidel;
     let init: Vec<f64> = (0..n)
         .map(|i| {
             if goal[i] {
@@ -1949,53 +1677,6 @@ mod tests {
         assert!(seeded.values[mdp.init()] < 1e-9);
     }
 
-    #[test]
-    fn parallel_jacobi_matches_serial_gauss_seidel() {
-        let mdp = area_mdp(0.7);
-        let serial = min_expected_cycles(&mdp, SolverOptions::default());
-        let parallel = min_expected_cycles(
-            &mdp,
-            SolverOptions {
-                parallel: true,
-                parallel_threshold: 1, // force the Jacobi path
-                ..SolverOptions::default()
-            },
-        );
-        assert!(serial.converged && parallel.converged);
-        for (s, p) in serial.values.iter().zip(&parallel.values) {
-            assert!((s - p).abs() < 1e-7, "serial {s} vs parallel {p}");
-        }
-        let pr = max_reach_probability(
-            &mdp,
-            SolverOptions {
-                parallel: true,
-                parallel_threshold: 1,
-                ..SolverOptions::default()
-            },
-        );
-        let sr = max_reach_probability(&mdp, SolverOptions::default());
-        for (s, p) in sr.values.iter().zip(&pr.values) {
-            assert!((s - p).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn below_threshold_stays_serial() {
-        // With the default threshold a small model must not pay for
-        // threads: same result, same (serial) iteration count.
-        let mdp = line_mdp(0.5);
-        let serial = min_expected_cycles(&mdp, SolverOptions::default());
-        let gated = min_expected_cycles(
-            &mdp,
-            SolverOptions {
-                parallel: true,
-                ..SolverOptions::default()
-            },
-        );
-        assert_eq!(serial.iterations, gated.iterations);
-        assert_eq!(serial.values, gated.values);
-    }
-
     // -- structure-aware engine ---------------------------------------------
 
     fn detour_mdp() -> RoutingMdp {
@@ -2048,11 +1729,10 @@ mod tests {
     }
 
     #[test]
-    fn auto_resolves_to_topological() {
+    fn default_method_is_topological() {
         let mdp = line_mdp(0.5);
         let r = min_expected_cycles(&mdp, SolverOptions::default());
         assert_eq!(r.method, SolverMethod::Topological);
-        assert!(!r.float32 && !r.float32_fallback);
     }
 
     #[test]
@@ -2116,60 +1796,6 @@ mod tests {
                 cert.max_residual
             );
         }
-    }
-
-    #[test]
-    fn float32_fast_path_is_certified_or_falls_back() {
-        let mdp = area_mdp(0.6);
-        let options = SolverOptions {
-            float32: true,
-            ..SolverOptions::default()
-        };
-        let r = min_expected_cycles(&mdp, options.clone());
-        assert!(r.converged);
-        assert!(r.float32 || r.float32_fallback);
-        let exact = min_expected_cycles(&mdp, SolverOptions::default());
-        // Accepted f32 values carry a certified Bellman residual of at
-        // most f32_epsilon; the value error is residual / (1 − γ), loose
-        // here since per-sweep contraction is mild on this field.
-        assert_close(&r.values, &exact.values, 0.05, "f32 Rmin");
-        // The acceptance certificate holds in release builds too; re-check
-        // it the way the solver did.
-        let artifact = meda_audit::ModelArtifact::from(&mdp);
-        let cert = meda_audit::bellman_certificate(
-            &artifact,
-            &r.values,
-            meda_audit::ValueKind::ExpectedCycles,
-        );
-        assert!(cert.max_residual <= options.f32_epsilon);
-        assert!(cert.out_of_range.is_empty());
-
-        let p = max_reach_probability(&mdp, options.clone());
-        assert!(p.converged);
-        assert!(p.float32 || p.float32_fallback);
-        let p_exact = max_reach_probability(&mdp, SolverOptions::default());
-        assert_close(&p.values, &p_exact.values, 0.05, "f32 Pmax");
-    }
-
-    #[test]
-    fn float32_infeasible_tolerance_falls_back_to_f64() {
-        // An acceptance tolerance below f32 resolution at these value
-        // magnitudes cannot certify; the solver must fall back and still
-        // deliver the full-precision answer.
-        let mdp = area_mdp(0.4);
-        let r = min_expected_cycles(
-            &mdp,
-            SolverOptions {
-                float32: true,
-                f32_epsilon: 1e-12,
-                ..SolverOptions::default()
-            },
-        );
-        assert!(r.converged);
-        assert!(r.float32_fallback);
-        assert!(!r.float32);
-        let exact = min_expected_cycles(&mdp, SolverOptions::default());
-        assert_close(&r.values, &exact.values, 1e-9, "fallback Rmin");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Cross-method solver agreement, meda-check style: topological value
-//! iteration, prioritized sweeping, and the certified `f32` fast path must
-//! land on the same `Pmax`/`Rmin` fixed points as the baseline Gauss–Seidel
-//! engine across generated chips, droplets, and degradation fields — with
-//! shrinking to a small witness on disagreement.
+//! iteration and prioritized sweeping must land on the same `Pmax`/`Rmin`
+//! fixed points as the baseline Gauss–Seidel engine across generated
+//! chips, droplets, and degradation fields — with shrinking to a small
+//! witness on disagreement.
 
 use meda_check::oracle::{routing_scenario, RoutingScenario};
 use meda_check::{cases_from_env, run_property, Config, Outcome};
@@ -20,8 +20,7 @@ fn with(method: SolverMethod) -> SolverOptions {
 /// Relative agreement with matching infinities. An ε-Bellman-residual only
 /// bounds the *value* error by ε/(1−γ), where the per-sweep contraction γ
 /// depends on the field, so the tolerance must sit above the residual
-/// threshold: ~2e-7 relative for the f64 engines (epsilon 1e-9), and the
-/// certified `f32_epsilon` amplified the same way for the fast path.
+/// threshold: ~2e-7 relative at the default epsilon of 1e-9.
 fn agree(a: &[f64], b: &[f64], rel: f64, what: &str) -> Result<(), String> {
     for (i, (x, y)) in a.iter().zip(b).enumerate() {
         if x.is_infinite() || y.is_infinite() {
@@ -51,22 +50,6 @@ fn check_methods(s: &RoutingScenario) -> Result<(), String> {
         agree(&p.values, &base_p.values, 2e-7, &format!("{method:?} Pmax"))?;
         agree(&r.values, &base_r.values, 2e-7, &format!("{method:?} Rmin"))?;
     }
-    // The f32 fast path: certified-and-accepted or transparently fallen
-    // back, either way within its advertised tolerance of the baseline.
-    let f32_opts = SolverOptions {
-        float32: true,
-        ..SolverOptions::default()
-    };
-    let p32 = max_reach_probability(&mdp, f32_opts.clone());
-    let r32 = min_expected_cycles(&mdp, f32_opts);
-    if !p32.converged || !r32.converged {
-        return Err("f32 fast path did not converge".into());
-    }
-    if !(p32.float32 || p32.float32_fallback) || !(r32.float32 || r32.float32_fallback) {
-        return Err("f32 fast path neither certified nor fell back".into());
-    }
-    agree(&p32.values, &base_p.values, 1e-2, "f32 Pmax")?;
-    agree(&r32.values, &base_r.values, 1e-2, "f32 Rmin")?;
     Ok(())
 }
 
