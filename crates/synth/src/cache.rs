@@ -250,12 +250,10 @@ impl PersistentCache {
         for path in paths {
             let verdict = fs::read_to_string(&path)
                 .map_err(|e| format!("read: {e}"))
-                .and_then(|text| rehydrate(&text, None).map(|_| ()))
-                .and_then(|()| {
+                .and_then(|text| rehydrate(&text, None))
+                .and_then(|(_, job)| {
                     // The file must be filed under its own digest.
                     let stem = path.file_stem().and_then(|s| s.to_str()).unwrap_or("");
-                    let text = fs::read_to_string(&path).map_err(|e| format!("read: {e}"))?;
-                    let (_, job) = rehydrate(&text, None)?;
                     let actual = format!("{:016x}", job.digest());
                     if stem == actual {
                         Ok(())
@@ -661,5 +659,44 @@ mod tests {
             cache.insert(&job, strategy).expect("insert");
         }
         assert_eq!(cache.validate_all().expect("sound"), 2);
+    }
+
+    #[test]
+    fn paper_scale_entry_loads_from_disk_exactly() {
+        // A 90×90 chip with a 3×3 droplet: 8,100 forces and thousands of
+        // values as hex strings, over 600 KB of entry. Parsing it must not
+        // be quadratic in its size.
+        let mut cache = temp_cache("paper-scale");
+        let job = canonicalize(
+            Rect::new(1, 1, 3, 3),
+            Rect::new(88, 88, 90, 90),
+            Rect::new(1, 1, 90, 90),
+            &UniformField::new(0.9),
+            &[],
+            &ActionConfig::default(),
+            Query::MinExpectedCycles,
+        )
+        .0;
+        let strategy = job.synthesize().expect("synth");
+        let choices_before: Vec<Option<Action>> = (0..strategy.mdp().len())
+            .map(|i| strategy.decide(strategy.mdp().state(i)))
+            .collect();
+        let values_before = strategy.values().to_vec();
+        cache.insert(&job, strategy).expect("insert");
+        let bytes = fs::metadata(cache.entry_path(job.digest()))
+            .expect("entry file")
+            .len();
+        assert!(bytes > 250_000, "paper-scale entry is {bytes} bytes");
+
+        let mut warm = PersistentCache::open(cache.dir(), 8).expect("reopen");
+        let loaded = warm.get(&job).expect("disk hit");
+        assert_eq!(warm.stats().disk_hits, 1);
+        assert_eq!(warm.stats().rejected, 0);
+        let choices_after: Vec<Option<Action>> = (0..loaded.mdp().len())
+            .map(|i| loaded.decide(loaded.mdp().state(i)))
+            .collect();
+        assert_eq!(choices_after, choices_before);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(loaded.values()), bits(&values_before));
     }
 }

@@ -20,7 +20,7 @@
 //! asynchronously with respect to the submitting client — they are just
 //! work items for the pool.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::Path;
 use std::sync::mpsc;
 use std::thread;
@@ -38,6 +38,16 @@ use crate::Query;
 /// forces into an `xb × yb` grid, so the extent is checked before either;
 /// 256×256 leaves ample room above the paper's 90×90 chips.
 const MAX_CHIP_CELLS: i64 = 256 * 256;
+
+/// Longest request line [`run_stream`] reads, in bytes, not counting its
+/// `\n`. The largest legal request is a `cells` array over
+/// [`MAX_CHIP_CELLS`] = 65,536 cells. The longest shortest-round-trip form
+/// of an `f64` in [0, 1], such as `2.2250738585072014e-308`, is 23 bytes;
+/// with its comma a cell takes 24. Allowing 32 bytes per cell for
+/// whitespace gives 32 · 65,536 = 2 MiB, and 64 KiB more covers the id,
+/// geometry, config and hazards: 2,162,688 bytes in all. A longer line is
+/// skipped unbuffered and answered with an error.
+const MAX_REQUEST_BYTES: usize = 32 * MAX_CHIP_CELLS as usize + 64 * 1024;
 
 /// Operation requested by one serve line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -507,26 +517,64 @@ pub fn run_batch(
 /// immediately). Single engine, in-order — the worker pool applies to
 /// [`run_batch`], where the full request set is known up front.
 ///
+/// A line longer than `MAX_REQUEST_BYTES` (2,162,688 bytes) or not UTF-8
+/// gets a `status: "error"` reply, and the stream goes on with the next
+/// line.
+///
 /// # Errors
 ///
 /// Propagates I/O errors from the transport and cache-directory creation.
 pub fn run_stream(
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
     cache_dir: &Path,
     capacity: usize,
 ) -> io::Result<CacheStats> {
     let mut engine = ServeEngine::open(cache_dir, capacity)?;
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = engine.handle(&line);
+    let mut buf = Vec::new();
+    while let Some(line) = read_request_line(&mut input, &mut buf, MAX_REQUEST_BYTES)? {
+        let response = match line {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => engine.handle(line),
+            Err(reason) => error_response("", &reason),
+        };
         writeln!(output, "{response}")?;
         output.flush()?;
     }
     Ok(engine.stats())
+}
+
+/// Reads the next line of `input` into `buf` (cleared first) and returns
+/// it without its `\n` or `\r\n`; `None` at end of input. A line of more
+/// than `limit` bytes is never buffered whole: its first `limit + 1` bytes
+/// are read, the rest is skipped up to the next `\n`, and it comes back as
+/// an `Err` reason, as does a line that is not UTF-8. Either way the
+/// stream stays positioned at the start of the following line.
+fn read_request_line<'b>(
+    input: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
+    limit: usize,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let n = input
+        .by_ref()
+        .take(limit as u64 + 1)
+        .read_until(b'\n', buf)?;
+    if n == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > limit {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Err(format!("request line longer than {limit} bytes"))));
+    }
+    Ok(Some(
+        std::str::from_utf8(buf).map_err(|e| format!("request line is not UTF-8: {e}")),
+    ))
 }
 
 #[cfg(test)]
@@ -713,5 +761,92 @@ mod tests {
         assert_eq!(text.lines().count(), 2);
         assert!(text.lines().all(|l| l.contains("\"status\":\"ok\"")));
         assert_eq!(stats.hits(), 1);
+    }
+
+    /// Runs `input` through a fresh stream session and returns its replies.
+    fn stream_replies(tag: &str, input: &[u8]) -> Vec<String> {
+        let dir = temp_dir(tag);
+        let mut output = Vec::new();
+        run_stream(input, &mut output, &dir, 8).expect("stream");
+        String::from_utf8(output)
+            .expect("utf8")
+            .lines()
+            .map(String::from)
+            .collect()
+    }
+
+    #[test]
+    fn non_utf8_line_is_answered_and_the_stream_continues() {
+        let valid = request("after", 0, 0);
+        let alone = stream_replies("utf8-alone", format!("{valid}\n").as_bytes());
+        let mut input = b"{\"id\":\"\xff\xfe\"}\n".to_vec();
+        input.extend_from_slice(format!("{valid}\n").as_bytes());
+        let replies = stream_replies("utf8-bad", &input);
+        assert_eq!(replies.len(), 2);
+        assert!(
+            replies[0].contains("\"status\":\"error\""),
+            "{}",
+            replies[0]
+        );
+        assert!(replies[0].contains("not UTF-8"), "{}", replies[0]);
+        assert_eq!(
+            replies[1], alone[0],
+            "the next request is answered as usual"
+        );
+    }
+
+    #[test]
+    fn over_limit_line_is_answered_and_the_stream_continues() {
+        let valid = request("after", 0, 0);
+        let alone = stream_replies("long-alone", format!("{valid}\n").as_bytes());
+        let mut input = vec![b'['; MAX_REQUEST_BYTES + 1];
+        input.extend_from_slice(format!("\n{valid}\n").as_bytes());
+        let replies = stream_replies("long-bad", &input);
+        assert_eq!(replies.len(), 2);
+        assert!(
+            replies[0].contains("\"status\":\"error\""),
+            "{}",
+            replies[0]
+        );
+        assert!(replies[0].contains("longer than"), "{}", replies[0]);
+        assert_eq!(
+            replies[1], alone[0],
+            "the next request is answered as usual"
+        );
+    }
+
+    #[test]
+    fn bounded_read_splits_lines_at_the_limit() {
+        let mut input: &[u8] = b"abcd\nabcde\nab\r\n\xff\nlast";
+        let mut buf = Vec::new();
+        let mut lines = Vec::new();
+        while let Some(line) = read_request_line(&mut input, &mut buf, 4).expect("read") {
+            lines.push(line.map(String::from));
+        }
+        assert_eq!(
+            lines[0],
+            Ok("abcd".to_string()),
+            "a line at the limit is read"
+        );
+        assert!(lines[1]
+            .as_ref()
+            .is_err_and(|e| e.contains("longer than 4")));
+        assert_eq!(lines[2], Ok("ab".to_string()), "CRLF is stripped");
+        assert!(lines[3].as_ref().is_err_and(|e| e.contains("not UTF-8")));
+        assert_eq!(lines[4], Ok("last".to_string()), "no final newline");
+        assert_eq!(lines.len(), 5);
+    }
+
+    #[test]
+    fn the_largest_legal_request_fits_the_line_limit() {
+        // Every cell of a 256×256 chip, each force at its longest form.
+        let side = 256;
+        let cells = vec!["2.2250738585072014e-308"; side * side].join(",");
+        let line = format!(
+            r#"{{"id":"max","bounds":[1,1,{side},{side}],"start":[1,1,2,2],"goal":[3,3,4,4],"cells":[{cells}]}}"#
+        );
+        assert!(line.len() <= MAX_REQUEST_BYTES, "{} bytes", line.len());
+        let req = parse_request(&line).expect("largest legal request");
+        assert_eq!(req.forces.len(), side * side);
     }
 }

@@ -3,8 +3,14 @@
 //! Kept deliberately tiny (no third-party deps is a repo invariant): objects
 //! preserve insertion order via `Vec<(String, Json)>`, numbers are `f64`,
 //! and the writer emits no whitespace beyond what callers add — so output
-//! is byte-deterministic. Shared by the telemetry export sinks and the
-//! bench baseline-comparison tooling.
+//! is byte-deterministic. Shared by the telemetry export sinks, the
+//! bench baseline-comparison tooling, `meda serve` and its strategy cache.
+//!
+//! Parsing and writing are both linear in the document's length: a string
+//! is scanned and copied one run at a time (a run ends at the next byte
+//! that needs escaping), never re-validated or formatted per character.
+//! That matters for cache entries, which store every float as a 16-hex
+//! string and reach hundreds of KB at paper scale.
 
 use std::fmt;
 
@@ -107,7 +113,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos, 0)?;
+        let value = parse_value(text, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -116,19 +122,35 @@ impl Json {
     }
 }
 
+/// The `\uXXXX` escape of each control character U+0000–U+001F.
+const CONTROL_ESCAPES: [&str; 0x20] = [
+    "\\u0000", "\\u0001", "\\u0002", "\\u0003", "\\u0004", "\\u0005", "\\u0006", "\\u0007",
+    "\\u0008", "\\u0009", "\\u000a", "\\u000b", "\\u000c", "\\u000d", "\\u000e", "\\u000f",
+    "\\u0010", "\\u0011", "\\u0012", "\\u0013", "\\u0014", "\\u0015", "\\u0016", "\\u0017",
+    "\\u0018", "\\u0019", "\\u001a", "\\u001b", "\\u001c", "\\u001d", "\\u001e", "\\u001f",
+];
+
+/// Writes `s` as a quoted JSON string: one `write_str` per unescaped run
+/// and one per escape. Every byte that needs escaping is ASCII, so each
+/// run ends on a char boundary.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => CONTROL_ESCAPES[usize::from(b)],
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        f.write_str(escape)?;
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -192,7 +214,8 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 }
 
 /// Parses one value nested inside `depth` open arrays/objects.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+fn parse_value(text: &str, pos: &mut usize, depth: usize) -> Result<Json, String> {
+    let bytes = text.as_bytes();
     skip_ws(bytes, pos);
     if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_NESTING {
         return Err(format!(
@@ -205,7 +228,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
         Some(b'n') => expect(bytes, pos, "null").map(|()| Json::Null),
         Some(b't') => expect(bytes, pos, "true").map(|()| Json::Bool(true)),
         Some(b'f') => expect(bytes, pos, "false").map(|()| Json::Bool(false)),
-        Some(b'"') => parse_string(bytes, pos).map(Json::Str),
+        Some(b'"') => parse_string(text, pos).map(Json::Str),
         Some(b'[') => {
             *pos += 1;
             let mut items = Vec::new();
@@ -215,7 +238,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos, depth + 1)?);
+                items.push(parse_value(text, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -237,10 +260,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(text, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, ":")?;
-                let value = parse_value(bytes, pos, depth + 1)?;
+                let value = parse_value(text, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -257,56 +280,56 @@ fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, Stri
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parses the string starting at the `"` at `pos`. Each run up to the next
+/// `"` or `\` is copied with one `push_str`: `text` is already valid
+/// UTF-8 and both delimiters are ASCII, so every run starts and ends on a
+/// char boundary.
+fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
+    let bytes = text.as_bytes();
     if bytes.get(*pos) != Some(&b'"') {
         return Err(format!("expected string at byte {pos}", pos = *pos));
     }
     *pos += 1;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        // Surrogate pairs are not needed for metric names;
-                        // map unpaired surrogates to the replacement char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte safe).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid utf8 in string".to_string())?;
-                let c = rest.chars().next().ok_or("unterminated string")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(&text[*pos..*pos + run]);
+        *pos += run;
+        if bytes[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let hex = bytes
+                    .get(*pos + 1..*pos + 5)
+                    .ok_or_else(|| "truncated \\u escape".to_string())?;
+                let hex =
+                    std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape".to_string())?;
+                // Only ASCII survives the radix parse, so `pos` stays on a
+                // char boundary.
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                // Surrogate pairs are not needed for metric names;
+                // map unpaired surrogates to the replacement char.
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                *pos += 4;
+            }
+            _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+        }
+        *pos += 1;
     }
 }
 
@@ -386,5 +409,109 @@ mod tests {
         assert_eq!(Json::u64(42).to_string(), "42");
         assert_eq!(Json::Num(1.5).to_string(), "1.5");
         assert_eq!(Json::Num(f64::NAN).to_string(), "null");
+    }
+
+    /// The corpus behind [`WRITER_GOLDEN`]: multibyte runs (2-, 3- and
+    /// 4-byte chars) next to every kind of escape, in keys and values.
+    fn mixed_corpus() -> Json {
+        Json::Obj(vec![
+            ("plain".into(), Json::str("meda-cache/1")),
+            ("k\"ey\\".into(), Json::str("q\"b\\s/")),
+            (
+                "multi".into(),
+                Json::str("\u{e9}\u{20ac}\u{1f600}\"\u{e9}\\\u{20ac}\n\u{1f600}\t"),
+            ),
+            (
+                "ctl".into(),
+                Json::str("\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f}\u{7f} \r\n\t"),
+            ),
+            ("empty".into(), Json::str("")),
+            (
+                "arr".into(),
+                Json::Arr(vec![
+                    Json::str("a"),
+                    Json::str("\u{1f}x"),
+                    Json::str("\u{4e2d}\u{6587}"),
+                ]),
+            ),
+        ])
+    }
+
+    /// The bytes the per-character writer produced for [`mixed_corpus`];
+    /// cache entries, serve replies and ledger digests depend on them.
+    const WRITER_GOLDEN: &str = "{\"plain\":\"meda-cache/1\",\"k\\\"ey\\\\\":\"q\\\"b\\\\s/\",\"multi\":\"\u{e9}\u{20ac}\u{1f600}\\\"\u{e9}\\\\\u{20ac}\\n\u{1f600}\\t\",\"ctl\":\"\\u0000\\u0001\\u0008\\u000c\\u001b\\u001f\u{7f} \\r\\n\\t\",\"empty\":\"\",\"arr\":[\"a\",\"\\u001fx\",\"\u{4e2d}\u{6587}\"]}";
+
+    #[test]
+    fn writer_output_matches_the_pinned_golden() {
+        assert_eq!(mixed_corpus().to_string(), WRITER_GOLDEN);
+        assert_eq!(Json::parse(WRITER_GOLDEN), Ok(mixed_corpus()));
+    }
+
+    #[test]
+    fn multibyte_runs_round_trip_next_to_every_escape() {
+        let chars = ["\u{e9}", "\u{20ac}", "\u{1f600}"];
+        let escapes = ["\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1f}", "/"];
+        for c in chars {
+            for e in escapes {
+                for s in [
+                    format!("{c}{e}"),
+                    format!("{e}{c}"),
+                    format!("{c}{c}{e}{e}{c}"),
+                    format!("{e}{c}{e}"),
+                ] {
+                    let doc = Json::Arr(vec![Json::str(s.as_str())]);
+                    let text = doc.to_string();
+                    assert_eq!(Json::parse(&text), Ok(doc), "{s:?} via {text:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_control_char_is_escaped_and_round_trips() {
+        for b in 0u8..0x20 {
+            let s = format!("a{}b", char::from(b));
+            let text = Json::str(s.as_str()).to_string();
+            let expected = match b {
+                b'\n' => "\"a\\nb\"".to_string(),
+                b'\r' => "\"a\\rb\"".to_string(),
+                b'\t' => "\"a\\tb\"".to_string(),
+                _ => format!("\"a\\u{b:04x}b\""),
+            };
+            assert_eq!(text, expected);
+            assert_eq!(Json::parse(&text), Ok(Json::Str(s)));
+        }
+        // Raw control characters inside a string are still accepted.
+        assert_eq!(Json::parse("\"a\u{1}b\""), Ok(Json::str("a\u{1}b")));
+    }
+
+    #[test]
+    fn unicode_escapes_decode() {
+        assert_eq!(
+            Json::parse(r#""\u0041\u00e9\u20AC/\/\b\f""#),
+            Ok(Json::str("A\u{e9}\u{20ac}//\u{8}\u{c}"))
+        );
+        // Unpaired surrogates become the replacement char, one per escape.
+        assert_eq!(
+            Json::parse(r#""\ud83d\ude00x""#),
+            Ok(Json::str("\u{fffd}\u{fffd}x"))
+        );
+        assert!(Json::parse(r#""\u12""#).is_err(), "truncated escape");
+        assert!(Json::parse(r#""\u12g4""#).is_err(), "non-hex escape");
+        // A `\u` whose four bytes cut a multibyte char is an error, not a
+        // slice panic.
+        assert!(Json::parse("\"\\u\u{20ac}\u{20ac}\"").is_err());
+        assert!(Json::parse("\"\\u1\u{e9}\"").is_err());
+        assert!(Json::parse(r#""\q""#).is_err(), "unknown escape");
+        assert!(Json::parse("\"ab\\").is_err(), "escape at end of input");
+    }
+
+    #[test]
+    fn empty_strings_round_trip() {
+        let doc = Json::Obj(vec![(String::new(), Json::str(""))]);
+        assert_eq!(doc.to_string(), r#"{"":""}"#);
+        assert_eq!(Json::parse(r#"{"":""}"#), Ok(doc));
+        assert_eq!(Json::parse(r#""""#), Ok(Json::str("")));
+        assert!(Json::parse(r#"""#).is_err());
     }
 }

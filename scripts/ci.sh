@@ -96,7 +96,10 @@ fleet_smoke()   { cargo run --release -- fleet --smoke; }
 # (repeated + translated jobs): the batch must produce at least one
 # canonical cache hit, two runs over the same persistent cache must be
 # byte-identical on stdout, and after corrupting a cached entry the store
-# audit (`meda serve --check-cache`) must exit nonzero.
+# audit (`meda serve --check-cache`) must exit nonzero. A stdin session fed
+# a request, a non-UTF-8 line, a line over the 2,162,688-byte request
+# limit and the request again must answer all four lines: the two bad ones
+# with `"status":"error"`, the two good ones byte-identical to the batch.
 serve_smoke() {
   local dir=target/ci-serve-cache
   rm -rf "$dir"
@@ -106,6 +109,23 @@ serve_smoke() {
     --cache-dir "$dir" --min-hits 1 > target/serve_smoke_run2.out
   cmp target/serve_smoke_run1.out target/serve_smoke_run2.out \
     || { echo "serve-smoke: warm rerun is not byte-identical to the cold run" >&2; return 1; }
+  local req expected stream_dir=target/ci-serve-stream-cache
+  rm -rf "$stream_dir"
+  req=$(head -n 1 scripts/serve_smoke_requests.jsonl)
+  expected=$(head -n 1 target/serve_smoke_run1.out)
+  {
+    printf '%s\n' "$req"
+    printf '\xff\xfe\n'
+    head -c 3000000 /dev/zero | tr '\0' x
+    printf '\n%s\n' "$req"
+  } | cargo run --release -- serve --cache-dir "$stream_dir" > target/serve_smoke_stream.out
+  [ "$(wc -l < target/serve_smoke_stream.out)" -eq 4 ] \
+    || { echo "serve-smoke: hostile stream did not get exactly four replies" >&2; return 1; }
+  [ "$(sed -n 1p target/serve_smoke_stream.out)" = "$expected" ] \
+    && [ "$(sed -n 4p target/serve_smoke_stream.out)" = "$expected" ] \
+    || { echo "serve-smoke: stream replies differ from the batch reply" >&2; return 1; }
+  [ "$(sed -n 2,3p target/serve_smoke_stream.out | grep -c '"status":"error"')" -eq 2 ] \
+    || { echo "serve-smoke: a hostile line did not get an error reply" >&2; return 1; }
   local entry
   entry=$(ls "$dir"/*.json | head -n 1)
   sed -i 's/"values":\["/"values":["f/' "$entry"
@@ -113,7 +133,7 @@ serve_smoke() {
     echo "serve-smoke: --check-cache accepted a corrupted entry — the load audit is broken" >&2
     return 1
   fi
-  echo "serve-smoke: cache hits, byte-identical reruns, and corruption detection all hold"
+  echo "serve-smoke: cache hits, byte-identical reruns, hostile stream lines, and corruption detection all hold"
 }
 # Full (non-smoke) mode: the paper-scale Table V matrix up to 90×90. The
 # committed BENCH_synthesis.json baseline is full-mode, and bench_compare
