@@ -234,47 +234,56 @@ fn crossing_slack(lo: f64, hi: f64) -> f64 {
 // Qualitative (graph-only) analyses.
 // ---------------------------------------------------------------------------
 
-/// States from which some path reaches a goal state — backward BFS over
-/// the reversed branch relation. The complement is the exact `Pmax = 0`
-/// set.
-fn can_reach_goal(art: &ModelArtifact) -> Vec<bool> {
+/// The predecessor lists of the branch relation in CSR form: the
+/// distinct sources `s ≠ t` with a branch into `t` span
+/// `pred[start[t]..start[t + 1]]`, in increasing order. Counted first, so
+/// both arrays are allocated at their exact size.
+fn predecessors(art: &ModelArtifact) -> (Vec<u32>, Vec<u32>) {
     let n = art.states;
-    let branches = art.branch_target.len();
-    // Reverse adjacency by counting sort: rev_src groups branch sources by
-    // their target.
-    let mut rev_start = vec![0u32; n + 1];
-    for &t in &art.branch_target {
-        rev_start[t as usize + 1] += 1;
-    }
-    for i in 1..=n {
-        rev_start[i] += rev_start[i - 1];
-    }
-    let mut cursor = rev_start.clone();
-    let mut rev_src = vec![0u32; branches];
-    for i in 0..n {
-        for c in art.choice_range(i) {
-            for b in art.branch_range(c) {
-                let t = art.branch_target[b] as usize;
-                rev_src[cursor[t] as usize] =
-                    u32::try_from(i).expect("state index exceeds the u32 address space");
-                cursor[t] += 1;
+    // The walk visits sources in increasing order, so a repeated
+    // `(source, t)` edge arrives while `last[t]` — the latest source
+    // recorded for `t` — still holds that source.
+    let mut last = vec![u32::MAX; n];
+    let mut start = vec![0u32; n + 1];
+    let mut edges = |visit: &mut dyn FnMut(usize, u32)| {
+        for i in 0..n {
+            let src = u32::try_from(i).expect("state index exceeds the u32 address space");
+            for c in art.choice_range(i) {
+                for b in art.branch_range(c) {
+                    let t = art.branch_target[b] as usize;
+                    if t != i && last[t] != src {
+                        last[t] = src;
+                        visit(t, src);
+                    }
+                }
             }
         }
+        last.fill(u32::MAX);
+    };
+    edges(&mut |t, _| start[t + 1] += 1);
+    for k in 1..=n {
+        start[k] += start[k - 1];
     }
-    let mut reach = vec![false; n];
-    let mut queue: Vec<u32> = Vec::new();
-    for (i, &goal) in art.goal_flags.iter().enumerate() {
-        if goal {
-            reach[i] = true;
-            queue.push(u32::try_from(i).expect("state index exceeds the u32 address space"));
-        }
-    }
+    let mut cursor = start.clone();
+    let mut pred = vec![0u32; start[n] as usize];
+    edges(&mut |t, src| {
+        pred[cursor[t] as usize] = src;
+        cursor[t] += 1;
+    });
+    (start, pred)
+}
+
+/// States from which some path reaches a goal state — backward BFS over
+/// the predecessor lists. The complement is the exact `Pmax = 0` set.
+fn can_reach_goal(art: &ModelArtifact) -> Vec<bool> {
+    let (start, pred) = predecessors(art);
+    let mut reach = art.goal_flags.clone();
+    let mut queue: Vec<usize> = (0..art.states).filter(|&i| reach[i]).collect();
     while let Some(t) = queue.pop() {
-        let t = t as usize;
-        for &s in &rev_src[rev_start[t] as usize..rev_start[t + 1] as usize] {
+        for &s in &pred[start[t] as usize..start[t + 1] as usize] {
             if !reach[s as usize] {
                 reach[s as usize] = true;
-                queue.push(s);
+                queue.push(s as usize);
             }
         }
     }
@@ -288,42 +297,41 @@ fn can_reach_goal(art: &ModelArtifact) -> Vec<bool> {
 /// inside the set and has positive probability of progressing toward a
 /// state added earlier, so following it reaches the goal with
 /// probability 1.
-fn prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
+///
+/// Returns the membership flags and the witness choice index per state
+/// (`None` for goal states and non-members). The artifact must have
+/// passed [`crate::audit_model`].
+#[must_use]
+pub fn prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
     let n = art.states;
+    let (pred_start, pred) = predecessors(art);
+    let mut checks = 0u64;
     let mut u = vec![true; n];
     loop {
-        let mut v = vec![false; n];
+        let mut v = art.goal_flags.clone();
         let mut witness = vec![None; n];
-        for (i, &goal) in art.goal_flags.iter().enumerate() {
-            if goal {
-                v[i] = true;
-            }
-        }
+        // A check reads `u` (fixed for this inner fixed point) and `v` at
+        // the state's successors, so a state that failed stays failed
+        // until one of its successors joins `v`: only `dirty` states are
+        // re-checked. Passes still run in index order, so every state
+        // joins in the same pass, after the same predecessors, with the
+        // same witness as under a full re-check.
+        let mut dirty = vec![true; n];
         loop {
             let mut changed = false;
             for i in 0..n {
-                if v[i] || !u[i] {
+                if !std::mem::take(&mut dirty[i]) || v[i] || !u[i] {
                     continue;
                 }
-                for c in art.choice_range(i) {
-                    let mut all_in_u = true;
-                    let mut some_in_v = false;
-                    for b in art.branch_range(c) {
-                        let t = art.branch_target[b] as usize;
-                        if !u[t] {
-                            all_in_u = false;
-                            break;
-                        }
-                        if v[t] {
-                            some_in_v = true;
-                        }
-                    }
-                    if all_in_u && some_in_v {
-                        v[i] = true;
-                        witness[i] = Some(c);
-                        changed = true;
-                        break;
-                    }
+                checks += 1;
+                let Some(c) = progress_choice(art, &u, &v, i) else {
+                    continue;
+                };
+                v[i] = true;
+                witness[i] = Some(c);
+                changed = true;
+                for &p in &pred[pred_start[i] as usize..pred_start[i + 1] as usize] {
+                    dirty[p as usize] = true;
                 }
             }
             if !changed {
@@ -331,10 +339,27 @@ fn prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
             }
         }
         if v == u {
+            meda_telemetry::global().add("audit.prob1.checks", checks);
             return (v, witness);
         }
         u = v;
     }
+}
+
+/// The first choice of state `i` whose branches all stay in `u` and one
+/// of which enters `v` — the step of the `Prob1` inner fixed point.
+fn progress_choice(art: &ModelArtifact, u: &[bool], v: &[bool], i: usize) -> Option<usize> {
+    art.choice_range(i).find(|&c| {
+        let mut some_in_v = false;
+        for b in art.branch_range(c) {
+            let t = art.branch_target[b] as usize;
+            if !u[t] {
+                return false;
+            }
+            some_in_v |= v[t];
+        }
+        some_in_v
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +521,8 @@ fn pmax_bounds(
             converged = true;
         }
     }
+    let unpinned = quot.pin.iter().filter(|p| p.is_none()).count();
+    meda_telemetry::global().add("audit.bounds.backups", (iterations * unpinned) as u64);
     let lo_states: Vec<f64> = quot.q_of.iter().map(|&q| lo[q as usize]).collect();
     let hi_states: Vec<f64> = quot.q_of.iter().map(|&q| hi[q as usize]).collect();
     BoundsCertificate {
@@ -660,6 +687,14 @@ fn rmin_bounds(art: &ModelArtifact, epsilon: f64, max_iterations: usize) -> Boun
             telemetry.add("audit.bounds.seed_overflow", 1);
         }
     }
+    // One fused sweep backs up `lo` and `hi` together, with the sums of
+    // `rmin_restricted_backup` in the same branch order. It walks every
+    // choice, without the restricted backup's Prob1 filter: a choice
+    // with a branch leaving Prob1 reads `lo = hi = ∞` there (those
+    // entries never change, and branch probabilities are positive), so
+    // it backs up to `∞` and never wins the minimum. Both iterates are
+    // therefore bit-identical to two separate restricted backups.
+    let iterated = (0..n).filter(|&i| p1[i] && !art.goal_flags[i]).count();
     let mut iterations = 0usize;
     let mut converged = false;
     let mut width = f64::INFINITY;
@@ -670,9 +705,31 @@ fn rmin_bounds(art: &ModelArtifact, epsilon: f64, max_iterations: usize) -> Boun
             if !p1[i] || art.goal_flags[i] {
                 continue;
             }
-            lo[i] = lo[i].max(rmin_restricted_backup(art, &p1, &lo, i));
+            let mut best_lo = f64::INFINITY;
+            let mut best_hi = f64::INFINITY;
+            for c in art.choice_range(i) {
+                let mut p_self = 0.0_f64;
+                let mut rest_lo = 0.0_f64;
+                let mut rest_hi = 0.0_f64;
+                for b in art.branch_range(c) {
+                    let t = art.branch_target[b] as usize;
+                    let p = art.branch_prob[b];
+                    if t == i {
+                        p_self += p;
+                    } else {
+                        rest_lo += p * lo[t];
+                        rest_hi += p * hi[t];
+                    }
+                }
+                let denom = 1.0 - p_self;
+                if denom > 0.0 {
+                    best_lo = best_lo.min((1.0 + rest_lo) / denom);
+                    best_hi = best_hi.min((1.0 + rest_hi) / denom);
+                }
+            }
+            lo[i] = lo[i].max(best_lo);
             if seeded {
-                hi[i] = hi[i].min(rmin_restricted_backup(art, &p1, &hi, i));
+                hi[i] = hi[i].min(best_hi);
             }
             width = width.max(hi[i] - lo[i]);
         }
@@ -683,6 +740,7 @@ fn rmin_bounds(art: &ModelArtifact, epsilon: f64, max_iterations: usize) -> Boun
             break; // lo alone can never close the interval
         }
     }
+    telemetry.add("audit.bounds.backups", (iterations * iterated) as u64);
     BoundsCertificate {
         kind: ValueKind::ExpectedCycles,
         epsilon,
@@ -788,6 +846,251 @@ pub fn unsound_vi_fixture() -> (ModelArtifact, Vec<f64>, Vec<Option<Action>>) {
 mod tests {
     use super::*;
     use crate::CERTIFICATE_EPSILON;
+    use meda_check::{
+        boolean, cases_from_env, check, choose_u32, choose_usize, default_corpus_dir, f64_range,
+        vec_of, weighted, Config, Gen,
+    };
+
+    /// The full-pass `Prob1` that [`prob1`] replaced: every inner pass
+    /// re-checks every candidate state.
+    fn reference_prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
+        let n = art.states;
+        let mut u = vec![true; n];
+        loop {
+            let mut v = vec![false; n];
+            let mut witness = vec![None; n];
+            for (i, &goal) in art.goal_flags.iter().enumerate() {
+                if goal {
+                    v[i] = true;
+                }
+            }
+            loop {
+                let mut changed = false;
+                for i in 0..n {
+                    if v[i] || !u[i] {
+                        continue;
+                    }
+                    for c in art.choice_range(i) {
+                        let mut all_in_u = true;
+                        let mut some_in_v = false;
+                        for b in art.branch_range(c) {
+                            let t = art.branch_target[b] as usize;
+                            if !u[t] {
+                                all_in_u = false;
+                                break;
+                            }
+                            if v[t] {
+                                some_in_v = true;
+                            }
+                        }
+                        if all_in_u && some_in_v {
+                            v[i] = true;
+                            witness[i] = Some(c);
+                            changed = true;
+                            break;
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            if v == u {
+                return (v, witness);
+            }
+            u = v;
+        }
+    }
+
+    /// The `Rmin` interval iteration the fused sweep replaced: two
+    /// separate [`rmin_restricted_backup`] calls per state and sweep, on
+    /// the reference `Prob1`.
+    fn reference_rmin_bounds(art: &ModelArtifact, epsilon: f64) -> BoundsCertificate {
+        let n = art.states;
+        let (p1, witness) = reference_prob1(art);
+        let mut lo = vec![f64::INFINITY; n];
+        let mut hi = vec![f64::INFINITY; n];
+        for i in 0..n {
+            if p1[i] {
+                lo[i] = 0.0;
+            }
+            if art.goal_flags[i] {
+                hi[i] = 0.0;
+            }
+        }
+        let mut seeded = false;
+        if let Ok(eval) = evaluate_pick_exact(art, &witness, ValueKind::ExpectedCycles) {
+            seeded = true;
+            for i in 0..n {
+                if p1[i] && !art.goal_flags[i] {
+                    hi[i] = eval.values[i] * (1.0 + 1e-12) + 1e-9;
+                }
+            }
+        }
+        let mut iterations = 0usize;
+        let mut converged = false;
+        let mut width = f64::INFINITY;
+        while !converged && iterations < BOUNDS_MAX_ITERATIONS {
+            iterations += 1;
+            width = 0.0;
+            for i in 0..n {
+                if !p1[i] || art.goal_flags[i] {
+                    continue;
+                }
+                lo[i] = lo[i].max(rmin_restricted_backup(art, &p1, &lo, i));
+                if seeded {
+                    hi[i] = hi[i].min(rmin_restricted_backup(art, &p1, &hi, i));
+                }
+                width = width.max(hi[i] - lo[i]);
+            }
+            if width <= 2.0 * epsilon {
+                converged = true;
+            }
+            if !seeded {
+                break;
+            }
+        }
+        BoundsCertificate {
+            kind: ValueKind::ExpectedCycles,
+            epsilon,
+            lo,
+            hi,
+            iterations,
+            converged,
+            width,
+            mecs: 0,
+            largest_mec: 0,
+        }
+    }
+
+    /// Bit-level differences between two `Rmin` certificates, if any.
+    fn bit_diff(new: &BoundsCertificate, old: &BoundsCertificate) -> Result<(), String> {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        if bits(&new.lo) != bits(&old.lo) {
+            return Err(format!("lo {:?} != {:?}", new.lo, old.lo));
+        }
+        if bits(&new.hi) != bits(&old.hi) {
+            return Err(format!("hi {:?} != {:?}", new.hi, old.hi));
+        }
+        if (new.iterations, new.converged, new.width.to_bits())
+            != (old.iterations, old.converged, old.width.to_bits())
+        {
+            return Err(format!(
+                "sweeps/converged/width {:?} != {:?}",
+                (new.iterations, new.converged, new.width),
+                (old.iterations, old.converged, old.width)
+            ));
+        }
+        Ok(())
+    }
+
+    /// Builds an artifact from per-state choice lists of `(target,
+    /// weight)` branches, weights normalized per choice. Goal states keep
+    /// no choices (they are absorbing).
+    fn artifact(goal_flags: Vec<bool>, choices: &[Vec<Vec<(u32, f64)>>]) -> ModelArtifact {
+        let mut art = ModelArtifact {
+            states: goal_flags.len(),
+            init: 0,
+            sink: None,
+            goal_flags,
+            state_choice_start: vec![0],
+            choice_action: Vec::new(),
+            choice_branch_start: vec![0],
+            branch_target: Vec::new(),
+            branch_prob: Vec::new(),
+        };
+        for (i, state) in choices.iter().enumerate() {
+            if !art.goal_flags[i] {
+                for choice in state {
+                    let total: f64 = choice.iter().map(|&(_, w)| w).sum();
+                    for &(t, w) in choice {
+                        art.branch_target.push(t);
+                        art.branch_prob.push(w / total);
+                    }
+                    art.choice_action.push(east());
+                    art.choice_branch_start.push(art.branch_target.len() as u32);
+                }
+            }
+            art.state_choice_start.push(art.choice_action.len() as u32);
+        }
+        art
+    }
+
+    /// Small random models: 1–9 states, about one in five a goal, up to
+    /// three choices of 1–3 branches each (self-loops, repeated targets,
+    /// all-self choices and goal-less models included).
+    fn small_model() -> Gen<ModelArtifact> {
+        choose_usize(1, 9).flat_map(|&n| {
+            let branch = choose_u32(0, n as u32 - 1).zip(f64_range(0.05, 1.0));
+            let choice = vec_of(branch, 1, 3);
+            let goal = weighted(vec![(4, Gen::constant(false)), (1, boolean())]);
+            vec_of(goal.zip(vec_of(choice, 0, 3)), n, n).map(|states| {
+                let goals = states.iter().map(|(g, _)| *g).collect();
+                let choices: Vec<_> = states.iter().map(|(_, c)| c.clone()).collect();
+                artifact(goals, &choices)
+            })
+        })
+    }
+
+    /// A ring of more than [`crate::MAX_CHAIN_BLOCK`] states (each steps
+    /// forward with `p`, back otherwise) whose state 0 can also gamble on
+    /// the goal: the witness chain is one strongly connected block too
+    /// large to eliminate, so `Rmin` takes the unseeded path.
+    fn ring(n: usize, p: f64) -> ModelArtifact {
+        let mut choices: Vec<Vec<Vec<(u32, f64)>>> = (0..n)
+            .map(|i| {
+                let (next, prev) = ((i + 1) % n, (i + n - 1) % n);
+                vec![vec![(next as u32, p), (prev as u32, 1.0 - p)]]
+            })
+            .collect();
+        choices[0].push(vec![(n as u32, 0.5), (1, 0.5)]);
+        choices.push(Vec::new());
+        let mut goals = vec![false; n + 1];
+        goals[n] = true;
+        artifact(goals, &choices)
+    }
+
+    #[test]
+    fn an_oversized_witness_block_takes_the_unseeded_path() {
+        let art = ring(crate::MAX_CHAIN_BLOCK + 1, 0.5);
+        let cert = compute_bounds(
+            &art,
+            ValueKind::ExpectedCycles,
+            CERTIFICATE_EPSILON,
+            BOUNDS_MAX_ITERATIONS,
+        );
+        assert_eq!(cert.iterations, 1);
+        assert!(!cert.converged);
+        assert!(cert.hi[..art.states - 1].iter().all(|h| h.is_infinite()));
+        assert!(cert.lo[0] > 0.0 && cert.lo[0].is_finite());
+    }
+
+    #[test]
+    fn fused_sweep_and_dirty_prob1_match_the_full_pass_reference_bit_for_bit() {
+        let config = Config::default()
+            .with_cases(cases_from_env(256))
+            .with_corpus(default_corpus_dir());
+        let rings = choose_usize(crate::MAX_CHAIN_BLOCK + 1, crate::MAX_CHAIN_BLOCK + 64)
+            .zip(f64_range(0.1, 0.9))
+            .map(|&(n, p)| ring(n, p));
+        let models = weighted(vec![(15, small_model()), (1, rings)]);
+        check("audit-bounds-fused-sweep", &config, &models, |art| {
+            if prob1(art) != reference_prob1(art) {
+                return Err(format!(
+                    "prob1 {:?} != reference {:?}",
+                    prob1(art),
+                    reference_prob1(art)
+                ));
+            }
+            let new = compute_bounds(
+                art,
+                ValueKind::ExpectedCycles,
+                CERTIFICATE_EPSILON,
+                BOUNDS_MAX_ITERATIONS,
+            );
+            bit_diff(&new, &reference_rmin_bounds(art, CERTIFICATE_EPSILON))
+        });
+    }
 
     fn east() -> Action {
         Action::Move(Dir::E)

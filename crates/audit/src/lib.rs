@@ -70,8 +70,8 @@ mod strategy;
 
 pub use artifact::ModelArtifact;
 pub use bounds::{
-    bracket_violations, compute_bounds, unsound_vi_fixture, verify_bounds, BoundsCertificate,
-    BOUNDS_MAX_ITERATIONS, BOUNDS_SLACK,
+    bracket_violations, compute_bounds, prob1, unsound_vi_fixture, verify_bounds,
+    BoundsCertificate, BOUNDS_MAX_ITERATIONS, BOUNDS_SLACK,
 };
 pub use certify::{audit_values, bellman_certificate, Certificate, ValueKind};
 pub use eval::{audit_strategy_value, evaluate_strategy, StrategyEvaluation, MAX_CHAIN_BLOCK};

@@ -433,27 +433,37 @@ fn merge(into: &mut CacheStats, s: CacheStats) {
 /// its own view of the shared cache directory — shards are disjoint by
 /// construction, so no two workers touch the same entry file).
 ///
+/// Lines are read like [`run_stream`]'s: a line longer than
+/// `MAX_REQUEST_BYTES` (2,162,688 bytes) or not UTF-8 gets a
+/// `status: "error"` reply in its place, and the batch goes on.
+///
 /// # Errors
 ///
-/// Propagates cache-directory creation failures; malformed requests
-/// produce `status: "error"` responses instead of failing the batch.
+/// Propagates read errors and cache-directory creation failures;
+/// malformed requests produce `status: "error"` responses instead of
+/// failing the batch.
 pub fn run_batch(
-    lines: &[String],
+    mut input: impl BufRead,
     cache_dir: &Path,
     capacity: usize,
     workers: usize,
 ) -> io::Result<BatchOutcome> {
-    let mut responses: Vec<Option<String>> = vec![None; lines.len()];
+    let mut responses: Vec<Option<String>> = Vec::new();
     let mut prepared = Vec::new();
-    for (i, line) in lines.iter().enumerate() {
-        if line.trim().is_empty() {
-            responses[i] = Some(String::new());
-            continue;
-        }
-        match parse_request(line) {
-            Ok(req) => prepared.push(canonicalize_request(req, i)),
-            Err(reason) => responses[i] = Some(error_response("", &format!("parse: {reason}"))),
-        }
+    let mut buf = Vec::new();
+    while let Some(line) = read_request_line(&mut input, &mut buf, MAX_REQUEST_BYTES)? {
+        let i = responses.len();
+        responses.push(match line {
+            Ok(line) if line.trim().is_empty() => Some(String::new()),
+            Ok(line) => match parse_request(line) {
+                Ok(req) => {
+                    prepared.push(canonicalize_request(req, i));
+                    None
+                }
+                Err(reason) => Some(error_response("", &format!("parse: {reason}"))),
+            },
+            Err(reason) => Some(error_response("", &reason)),
+        });
     }
     let workers = workers.max(1);
     let mut stats = CacheStats::default();
@@ -590,6 +600,11 @@ mod tests {
         dir
     }
 
+    /// [`run_batch`] over `lines`, one request per line.
+    fn batch(lines: &[String], dir: &Path, workers: usize) -> BatchOutcome {
+        run_batch(lines.join("\n").as_bytes(), dir, 8, workers).expect("batch")
+    }
+
     fn request(id: &str, dx: i32, dy: i32) -> String {
         format!(
             r#"{{"id":"{id}","bounds":[{},{},{},{}],"start":[{},{},{},{}],"goal":[{},{},{},{}],"force":0.9}}"#,
@@ -612,7 +627,7 @@ mod tests {
     fn translated_requests_share_one_cache_entry() {
         let dir = temp_dir("translated");
         let lines = vec![request("a", 0, 0), request("b", 5, 3), request("c", 11, 2)];
-        let out = run_batch(&lines, &dir, 8, 1).expect("batch");
+        let out = batch(&lines, &dir, 1);
         assert_eq!(out.stats.inserts, 1, "one canonical orbit, one entry");
         assert_eq!(out.stats.hits(), 2, "translations are cache hits");
         // All three answers carry the same optimal value bits.
@@ -638,8 +653,8 @@ mod tests {
     fn two_runs_are_byte_identical() {
         let dir = temp_dir("determinism");
         let lines = vec![request("a", 0, 0), request("b", 4, 1), request("a2", 0, 0)];
-        let cold = run_batch(&lines, &dir, 8, 1).expect("cold");
-        let warm = run_batch(&lines, &dir, 8, 1).expect("warm");
+        let cold = batch(&lines, &dir, 1);
+        let warm = batch(&lines, &dir, 1);
         assert_eq!(cold.responses, warm.responses);
         assert!(warm.stats.hits() >= 3, "second run fully warm");
         assert_eq!(warm.stats.inserts, 0);
@@ -653,8 +668,8 @@ mod tests {
         for i in 0..6 {
             lines.push(request(&format!("r{i}"), i % 3, (i * 2) % 5));
         }
-        let single = run_batch(&lines, &dir_a, 8, 1).expect("single");
-        let pooled = run_batch(&lines, &dir_b, 8, 4).expect("pooled");
+        let single = batch(&lines, &dir_a, 1);
+        let pooled = batch(&lines, &dir_b, 4);
         assert_eq!(single.responses, pooled.responses);
     }
 
@@ -737,16 +752,41 @@ mod tests {
             r#"{"id":"z","bounds":[1,1,3,1],"start":[1,1,1,1],"goal":[3,1,3,1],"cells":[0.9,0.0,0.9],"config":{"double_step":false,"ordinal":false,"morphing":false}}"#
                 .to_string(),
         ];
-        let out = run_batch(&lines, &dir, 8, 1).expect("batch");
+        let out = batch(&lines, &dir, 1);
         assert!(out.responses[0].contains("\"error\""));
         assert!(out.responses[1].contains("infeasible"));
+    }
+
+    #[test]
+    fn hostile_batch_lines_get_error_replies_in_place() {
+        let dir = temp_dir("hostile-batch");
+        let good = request("g", 0, 0);
+        let mut input = format!("{good}\n").into_bytes();
+        input.extend_from_slice(b"\xff\xfe\n");
+        input.extend(std::iter::repeat_n(b'x', MAX_REQUEST_BYTES + 1));
+        input.extend_from_slice(format!("\n\n{good}").as_bytes());
+        let out = run_batch(input.as_slice(), &dir, 8, 1).expect("batch");
+        assert_eq!(out.responses.len(), 5);
+        assert!(out.responses[0].contains("\"status\":\"ok\""));
+        assert!(
+            out.responses[1].contains("not UTF-8"),
+            "{}",
+            out.responses[1]
+        );
+        assert!(
+            out.responses[2].contains("longer than"),
+            "{}",
+            out.responses[2]
+        );
+        assert!(out.responses[3].is_empty(), "a blank line gets no reply");
+        assert_eq!(out.responses[4], out.responses[0]);
     }
 
     #[test]
     fn drift_prewarms_the_cache_for_later_routes() {
         let dir = temp_dir("drift");
         let drift = request("d", 0, 0).replace("\"id\":\"d\"", "\"id\":\"d\",\"op\":\"drift\"");
-        let out = run_batch(&[drift, request("r", 0, 0)], &dir, 8, 1).expect("batch");
+        let out = batch(&[drift, request("r", 0, 0)], &dir, 1);
         assert!(out.responses[0].contains("prewarmed"));
         assert_eq!(out.stats.hits(), 1, "route after drift is a hit");
     }

@@ -316,12 +316,15 @@ fn parse_string(text: &str, pos: &mut usize) -> Result<String, String> {
                 let hex = bytes
                     .get(*pos + 1..*pos + 5)
                     .ok_or_else(|| "truncated \\u escape".to_string())?;
-                let hex =
-                    std::str::from_utf8(hex).map_err(|_| "non-utf8 \\u escape".to_string())?;
-                // Only ASCII survives the radix parse, so `pos` stays on a
+                // Exactly four ASCII hex digits: `from_str_radix` would
+                // also take a sign. All four being ASCII keeps `pos` on a
                 // char boundary.
-                let code =
-                    u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                let code = hex
+                    .iter()
+                    .try_fold(0u32, |acc, &b| {
+                        char::from(b).to_digit(16).map(|d| acc * 16 + d)
+                    })
+                    .ok_or_else(|| format!("bad \\u escape {:?}", String::from_utf8_lossy(hex)))?;
                 // Surrogate pairs are not needed for metric names;
                 // map unpaired surrogates to the replacement char.
                 out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -498,6 +501,11 @@ mod tests {
         );
         assert!(Json::parse(r#""\u12""#).is_err(), "truncated escape");
         assert!(Json::parse(r#""\u12g4""#).is_err(), "non-hex escape");
+        // Signs and spaces are not hex digits, though the integer radix
+        // parse accepts a leading sign.
+        assert!(Json::parse(r#""\u+041""#).is_err(), "plus sign");
+        assert!(Json::parse(r#""\u-041""#).is_err(), "minus sign");
+        assert!(Json::parse(r#""\u 041""#).is_err(), "space");
         // A `\u` whose four bytes cut a multibyte char is an error, not a
         // slice panic.
         assert!(Json::parse("\"\\u\u{20ac}\u{20ac}\"").is_err());

@@ -100,6 +100,7 @@ fleet_smoke()   { cargo run --release -- fleet --smoke; }
 # a request, a non-UTF-8 line, a line over the 2,162,688-byte request
 # limit and the request again must answer all four lines: the two bad ones
 # with `"status":"error"`, the two good ones byte-identical to the batch.
+# The same four lines as a `--batch` file must get the same four replies.
 serve_smoke() {
   local dir=target/ci-serve-cache
   rm -rf "$dir"
@@ -113,12 +114,14 @@ serve_smoke() {
   rm -rf "$stream_dir"
   req=$(head -n 1 scripts/serve_smoke_requests.jsonl)
   expected=$(head -n 1 target/serve_smoke_run1.out)
+  local hostile=target/serve_smoke_hostile.jsonl
   {
     printf '%s\n' "$req"
     printf '\xff\xfe\n'
     head -c 3000000 /dev/zero | tr '\0' x
     printf '\n%s\n' "$req"
-  } | cargo run --release -- serve --cache-dir "$stream_dir" > target/serve_smoke_stream.out
+  } > "$hostile"
+  cargo run --release -- serve --cache-dir "$stream_dir" < "$hostile" > target/serve_smoke_stream.out
   [ "$(wc -l < target/serve_smoke_stream.out)" -eq 4 ] \
     || { echo "serve-smoke: hostile stream did not get exactly four replies" >&2; return 1; }
   [ "$(sed -n 1p target/serve_smoke_stream.out)" = "$expected" ] \
@@ -126,6 +129,10 @@ serve_smoke() {
     || { echo "serve-smoke: stream replies differ from the batch reply" >&2; return 1; }
   [ "$(sed -n 2,3p target/serve_smoke_stream.out | grep -c '"status":"error"')" -eq 2 ] \
     || { echo "serve-smoke: a hostile line did not get an error reply" >&2; return 1; }
+  cargo run --release -- serve --batch "$hostile" --cache-dir "$stream_dir" \
+    > target/serve_smoke_hostile_batch.out
+  cmp target/serve_smoke_stream.out target/serve_smoke_hostile_batch.out \
+    || { echo "serve-smoke: a hostile batch file is not answered like the stream" >&2; return 1; }
   local entry
   entry=$(ls "$dir"/*.json | head -n 1)
   sed -i 's/"values":\["/"values":["f/' "$entry"
@@ -133,7 +140,7 @@ serve_smoke() {
     echo "serve-smoke: --check-cache accepted a corrupted entry — the load audit is broken" >&2
     return 1
   fi
-  echo "serve-smoke: cache hits, byte-identical reruns, hostile stream lines, and corruption detection all hold"
+  echo "serve-smoke: cache hits, byte-identical reruns, hostile stream and batch lines, and corruption detection all hold"
 }
 # Full (non-smoke) mode: the paper-scale Table V matrix up to 90×90. The
 # committed BENCH_synthesis.json baseline is full-mode, and bench_compare

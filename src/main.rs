@@ -783,10 +783,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     if let Some(batch) = flag(args, "--batch") {
-        let text = std::fs::read_to_string(&batch).map_err(|e| format!("read {batch}: {e}"))?;
-        let lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let outcome =
-            run_batch(&lines, &cache_dir, capacity, workers).map_err(|e| e.to_string())?;
+        let file = std::fs::File::open(&batch).map_err(|e| format!("open {batch}: {e}"))?;
+        let outcome = run_batch(std::io::BufReader::new(file), &cache_dir, capacity, workers)
+            .map_err(|e| format!("batch {batch}: {e}"))?;
         let stdout = std::io::stdout();
         let mut out = stdout.lock();
         for response in &outcome.responses {
