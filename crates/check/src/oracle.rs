@@ -32,9 +32,10 @@
 //!    static/dynamic fluidic separation rules in any cycle, and on a
 //!    pristine chip concurrency must never cost a completion the serial
 //!    fleet achieves (no mutual-blocking livelock).
-//! 7. [`fleet_serial_equivalence`] — the fleet engine at width 1 must be
-//!    bit-identical to the serial runner: status, cycles, every actuation
-//!    pattern, chip wear, and RNG draw count.
+//! 7. [`fleet_serial_equivalence`] — at width 1 the failure ladder must be
+//!    inert on the failure-free path: whenever the plain serial run
+//!    succeeds, the laddered run is bit-identical to it (status, cycles,
+//!    every actuation pattern, chip wear, and RNG draw count).
 //! 8. [`cache_transparency`] — the persistent canonical strategy cache
 //!    must be value-transparent: a strategy persisted in the canonical
 //!    frame, reloaded by a *fresh* cache instance (so it round-trips
@@ -58,7 +59,8 @@ use meda_sim::sensing::{locate_droplets, snap_to_size};
 use meda_sim::{
     dependency_exemption, sample_outcome, AdaptiveConfig, AdaptivePool, AdaptiveRouter,
     BaselineRouter, BioassayRunner, Biochip, ClonePool, DegradationConfig, FaultPlan,
-    FifoScheduler, FleetConfig, FleetRunner, RunConfig, RunStatus, Supervisor, SupervisorConfig,
+    FifoScheduler, FleetConfig, FleetRunner, Ladder, RunConfig, RunStatus, Supervisor,
+    SupervisorConfig,
 };
 use meda_synth::{
     canonicalize, materialize, max_reach_probability, min_expected_cycles_with_reach, synthesize,
@@ -980,24 +982,25 @@ pub fn fleet_separation(case: &FleetCase) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Oracle 7: the serial fleet is the serial engine, bit for bit.
+// Oracle 7: the width-1 failure ladder is inert until the first failure.
 // ---------------------------------------------------------------------------
 
-/// Differential oracle 7: with `max_active = 1` the fleet engine must be
-/// *bit-identical* to the serial [`BioassayRunner`] — same status, same
-/// cycle count, same per-cycle actuation patterns, same total electrode
-/// actuations, and the same number of RNG draws — on the same chip, fault
-/// plan, and seed, with sensed feedback closed.
+/// Differential oracle 7: on the same chip, fault plan, and seed, with
+/// sensed feedback closed, a width-1 run under the full failure ladder
+/// (default retries, two relocations, watchdog disarmed) must be
+/// *bit-identical* to the plain serial run whenever the plain run
+/// succeeds — same status, cycle count, per-cycle actuation patterns,
+/// total electrode actuations, and number of RNG draws.
 ///
-/// This is the refactor-safety theorem of the fleet engine: every
-/// concurrent mechanism (hazard reservations, screening, stall
-/// escalation) must be provably inert at width 1, so the concurrent
-/// scheduler can replace the serial path without re-validating the entire
-/// paper evaluation.
+/// The ladder, the watchdog and the reconfiguration rung exist only on
+/// the failure path, so none of them may perturb a run that never fails.
+/// (Behaviour against the serial loop the fleet engine replaced is pinned
+/// by `crates/sim/tests/engine_reference.rs`, a digest corpus recorded on
+/// that loop.)
 ///
 /// # Errors
 ///
-/// Returns the first divergence between the two engines.
+/// Returns the first divergence between the two runs.
 pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
     let plan = master_mix_plan()?;
     let run = RunConfig {
@@ -1024,11 +1027,22 @@ pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
         );
         (out, chip.total_actuations(), rng.gen::<u64>())
     };
+    if !serial.is_success() {
+        return Ok(());
+    }
     let (fleet, fleet_wear, fleet_draw) = {
         let mut chip = chip(case.chip_seed);
         let mut pool = AdaptivePool::new(AdaptiveConfig::paper());
         let mut rng = StdRng::seed_from_u64(case.run_seed);
-        let out = FleetRunner::new(FleetConfig::serial(run)).run(
+        let laddered = FleetConfig {
+            attempt_cycles: Some(run.k_max),
+            ladder: Some(Ladder {
+                reconfig_budget: 2,
+                ..Ladder::default()
+            }),
+            ..FleetConfig::serial(run)
+        };
+        let out = FleetRunner::new(laddered).run(
             &plan,
             &mut chip,
             &mut pool,
@@ -1043,7 +1057,7 @@ pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
         != (fleet.status, fleet.cycles, fleet.completed_ops)
     {
         return Err(format!(
-            "outcome diverged: serial {:?}/{} cycles/{} ops, fleet {:?}/{} cycles/{} ops",
+            "outcome diverged: plain {:?}/{} cycles/{} ops, laddered {:?}/{} cycles/{} ops",
             serial.status,
             serial.cycles,
             serial.completed_ops,
@@ -1058,7 +1072,7 @@ pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
     );
     if st.len() != ft.len() {
         return Err(format!(
-            "trace lengths diverged: serial {}, fleet {}",
+            "trace lengths diverged: plain {}, laddered {}",
             st.len(),
             ft.len()
         ));
@@ -1068,7 +1082,7 @@ pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
     }
     if serial_wear != fleet_wear {
         return Err(format!(
-            "chip wear diverged: serial {serial_wear} actuations, fleet {fleet_wear}"
+            "chip wear diverged: plain {serial_wear} actuations, laddered {fleet_wear}"
         ));
     }
     if serial_draw != fleet_draw {
@@ -1367,8 +1381,9 @@ pub fn check_fleet_separation(config: &Config) -> SuiteOutcome {
     summarize("oracle-fleet-separation", &out)
 }
 
-/// Runs oracle 7 over generated chips and fault plans — two full adaptive
-/// bioassays per case, so it gets the dominance oracles' reduced budget.
+/// Runs oracle 7 over generated chips and fault plans — up to two full
+/// adaptive bioassays per case, so it gets the dominance oracles' reduced
+/// budget.
 #[must_use]
 pub fn check_fleet_serial_equivalence(config: &Config) -> SuiteOutcome {
     let gen = dominance_case();

@@ -7,8 +7,7 @@ use meda_core::{
 };
 use meda_grid::Rect;
 use meda_synth::{
-    canonicalize, canonicalize_strategy, materialize, synthesize, synthesize_with, LibraryKey,
-    PersistentCache, Query, RoutingStrategy, SolverOptions, StrategyLibrary,
+    synthesize, synthesize_with, LibraryKey, Query, RoutingStrategy, SolverOptions, StrategyLibrary,
 };
 
 use crate::Router;
@@ -89,11 +88,6 @@ pub struct AdaptiveRouter {
     /// Cleared by a weakening [`AdaptiveRouter::set_hazards`], restored by
     /// the next completed synthesis.
     warm_valid: bool,
-    /// Opt-in persistent content-addressed cache (DESIGN.md §16). `None`
-    /// on the default path, which therefore stays byte-identical to the
-    /// pre-cache router — golden `meda run`/`meda fleet` traces depend on
-    /// this.
-    cache: Option<PersistentCache>,
 }
 
 impl AdaptiveRouter {
@@ -113,36 +107,7 @@ impl AdaptiveRouter {
             synthesis_time: Duration::ZERO,
             hazards: Vec::new(),
             warm_valid: true,
-            cache: None,
         }
-    }
-
-    /// Creates an adaptive router backed by a persistent content-addressed
-    /// strategy cache: in-memory library misses consult the canonical
-    /// cache (answering translated/symmetric repeats of earlier jobs —
-    /// even from previous processes), and cold syntheses are persisted
-    /// canonically for the next caller. Value-transparent by construction
-    /// (proven by meda-check oracle 8): a warm answer carries the same
-    /// evaluated value as cold synthesis, validated on load by the
-    /// meda-audit totality/closure pass.
-    ///
-    /// # Errors
-    ///
-    /// Propagates cache-directory creation failures.
-    pub fn with_cache(
-        config: AdaptiveConfig,
-        cache_dir: impl Into<std::path::PathBuf>,
-        capacity: usize,
-    ) -> std::io::Result<Self> {
-        let mut router = Self::new(config);
-        router.cache = Some(PersistentCache::open(cache_dir, capacity)?);
-        Ok(router)
-    }
-
-    /// Persistent-cache statistics, if the cache is enabled.
-    #[must_use]
-    pub fn cache_stats(&self) -> Option<meda_synth::CacheStats> {
-        self.cache.as_ref().map(PersistentCache::stats)
     }
 
     /// The combined health + hazard digest over `bounds` — the quantity
@@ -231,48 +196,6 @@ impl AdaptiveRouter {
             }
             telemetry.add("synth.library.misses", 1);
         }
-        // Library miss: with the persistent cache enabled, canonicalize the
-        // job (translation + D4) and try a content-addressed lookup before
-        // paying for synthesis. A hit is rehydrated into this job's frame;
-        // a miss remembers the canonical context so the cold result can be
-        // persisted for the next caller.
-        let canonical_ctx = if self.cache.is_some() {
-            let (cjob, tf) = canonicalize(
-                start,
-                job.goal,
-                job.bounds,
-                health,
-                &self.hazards,
-                &self.config.actions,
-                self.config.query,
-            );
-            let hit = self.cache.as_mut().and_then(|cache| cache.get(&cjob));
-            if let Some(canon) = hit {
-                let hazarded;
-                let field: &dyn meda_core::ForceProvider =
-                    if self.hazards.iter().any(|b| b.rect.intersects(job.bounds)) {
-                        hazarded = HazardedField::new(health, &self.hazards);
-                        &hazarded
-                    } else {
-                        health
-                    };
-                if let Ok(mdp) =
-                    RoutingMdp::build(start, job.goal, job.bounds, field, &self.config.actions)
-                {
-                    if let Some(strategy) = materialize(&canon, &tf, mdp) {
-                        self.warm_valid = true;
-                        return Some(if self.config.use_library {
-                            self.library.insert(key, strategy)
-                        } else {
-                            Arc::new(strategy)
-                        });
-                    }
-                }
-            }
-            Some((cjob, tf))
-        } else {
-            None
-        };
         let previous = previous.filter(|_| self.warm_valid);
         let _job_span = telemetry.span("synth.job");
         let t0 = Instant::now();
@@ -310,15 +233,6 @@ impl AdaptiveRouter {
         self.synthesis_time += t0.elapsed();
         self.warm_valid = true;
         let strategy = result?;
-        if let (Some(cache), Some((cjob, tf))) = (self.cache.as_mut(), canonical_ctx.as_ref()) {
-            if let Ok(canon_mdp) = cjob.build_mdp() {
-                if let Some(canon) = canonicalize_strategy(&strategy, tf, canon_mdp) {
-                    // Persistence failure is non-fatal: the cache only
-                    // ever costs a miss, never correctness.
-                    let _ = cache.insert(cjob, canon);
-                }
-            }
-        }
         if self.config.use_library {
             Some(self.library.insert(key, strategy))
         } else {
@@ -578,56 +492,6 @@ mod tests {
             droplet = a.apply(droplet);
         }
         panic!("never reached the goal");
-    }
-
-    #[test]
-    fn persistent_cache_serves_translated_jobs_across_router_instances() {
-        let dims = ChipDims::new(20, 10);
-        let health = full_health(dims);
-        let dir = std::path::Path::new("target")
-            .join("test-adaptive-cache")
-            .join(std::process::id().to_string());
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let mut cold = AdaptiveRouter::with_cache(AdaptiveConfig::paper(), &dir, 8).unwrap();
-        assert!(cold.begin_job(&job(), &health));
-        let stats = cold.cache_stats().unwrap();
-        assert_eq!(stats.inserts, 1, "cold synthesis persisted");
-
-        // A different router process (fresh library!) routes a translated
-        // copy of the same job: canonical cache hit, no synthesis.
-        let translated = RoutingJob::new(
-            Rect::new(3, 2, 5, 4),
-            Rect::new(14, 2, 16, 4),
-            Rect::new(3, 2, 18, 9),
-        );
-        let mut warm = AdaptiveRouter::with_cache(AdaptiveConfig::paper(), &dir, 8).unwrap();
-        assert!(warm.begin_job(&translated, &health));
-        let stats = warm.cache_stats().unwrap();
-        assert_eq!(stats.hits(), 1, "translated job answered from disk");
-        assert_eq!(stats.inserts, 0);
-        // The warm strategy routes the translated job to its goal.
-        let mut droplet = translated.start;
-        for _ in 0..100 {
-            if translated.goal.contains_rect(droplet) {
-                return;
-            }
-            let a = warm.next_action(droplet, &health).expect("action");
-            droplet = a.apply(droplet);
-        }
-        panic!("never reached the goal");
-    }
-
-    #[test]
-    fn default_router_never_touches_a_cache() {
-        let dims = ChipDims::new(20, 10);
-        let health = full_health(dims);
-        let mut r = AdaptiveRouter::new(AdaptiveConfig::paper());
-        assert!(r.begin_job(&job(), &health));
-        assert!(
-            r.cache_stats().is_none(),
-            "default path must stay cache-free"
-        );
     }
 
     #[test]

@@ -1,12 +1,21 @@
+//! Run configuration and outcomes, the serial [`BioassayRunner`] entry
+//! point (a width-1 [`FleetRunner`] run), and [`Exec`], the per-cycle
+//! physics every run shares: chaos deaths and defect fronts, wear,
+//! outcome sampling from the hidden **D**, and the location sensors. The
+//! cycle loop itself lives in the fleet module.
+
 use meda_rng::Rng;
 
-use meda_bioassay::{BioassayPlan, PlannedMo, RoutingJob};
+use meda_bioassay::BioassayPlan;
 use meda_cell::apply_stuck_bits;
-use meda_core::{transitions, Action, Dir, ForceProvider};
+use meda_core::{transitions, Action, ForceProvider};
 use meda_grid::{Cell, Grid, Rect};
 
 use crate::sensing::{locate_droplets, snap_to_size};
-use crate::{Biochip, DefectFront, FaultPlan, FifoScheduler, MoScheduler, Router, SuddenDeath};
+use crate::{
+    Biochip, DefectFront, FaultPlan, FifoScheduler, FleetConfig, FleetRunner, MoScheduler, Router,
+    RouterPool, SuddenDeath,
+};
 
 /// Configuration of a bioassay execution run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +69,9 @@ pub enum RunStatus {
     /// accidental contamination, the error cyberphysical DMFB work guards
     /// against.
     DropletMerged,
-    /// A single routing attempt exceeded the supervisor's per-attempt
-    /// watchdog budget without reaching its goal — retryable, unlike the
-    /// global [`RunStatus::CycleLimit`].
+    /// A single attempt exceeded the per-attempt watchdog
+    /// ([`FleetConfig::attempt_cycles`]) without reaching its goal —
+    /// retryable, unlike the global [`RunStatus::CycleLimit`].
     Stalled,
 }
 
@@ -114,7 +123,8 @@ impl RunOutcome {
 ///
 /// Operations execute when ready (all predecessors done), ordered by the
 /// active [`MoScheduler`] — plan order by default; droplets waiting for a
-/// partner are held in place.
+/// partner are held in place. The first failure ends the run. This is a
+/// width-1 [`FleetRunner`] run over the one router.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BioassayRunner {
     config: RunConfig,
@@ -171,73 +181,41 @@ impl BioassayRunner {
         chaos: &FaultPlan,
         rng: &mut impl Rng,
     ) -> RunOutcome {
-        let total = plan.operations().len();
-        let mut exec = Exec::new(self.config, chip, rng, chaos);
-        let mut done = vec![false; total];
-        let mut completed = 0;
-
-        while completed < total {
-            // Algorithm 3's readiness check: every predecessor operation is
-            // done (not droplet-value matching — distinct droplets can park
-            // at identical rectangles, e.g. before and after an in-place
-            // magnetic operation).
-            let ready: Vec<usize> = plan
-                .operations()
-                .iter()
-                .filter(|mo| !done[mo.id] && mo.pre.iter().all(|&p| done[p]))
-                .map(|mo| mo.id)
-                .collect();
-            if ready.is_empty() {
-                return exec.finish(RunStatus::Deadlock, completed, total);
-            }
-            debug_assert!(ready
-                .iter()
-                .all(|&id| inputs_available(&plan.operations()[id].inputs, &exec.resting)));
-            let picked = scheduler.pick(&ready, plan, exec.chip.health_field());
-            debug_assert!(ready.contains(&picked), "scheduler picked a non-ready op");
-            let mo = &plan.operations()[picked];
-            let result = exec.exec_mo(mo, &mut |e, job, held, _| {
-                if job.is_dispense() {
-                    e.run_dispense(job, held)
-                } else {
-                    e.run_routed(job, router, held)
-                }
-            });
-            match result {
-                Ok(()) => {
-                    done[picked] = true;
-                    completed += 1;
-                }
-                Err(err) => return exec.finish(err.status, completed, total),
-            }
+        let out = FleetRunner::new(FleetConfig::serial(self.config)).run(
+            plan,
+            chip,
+            &mut OneRouter(router),
+            scheduler,
+            chaos,
+            rng,
+        );
+        RunOutcome {
+            cycles: out.cycles,
+            status: out.status,
+            completed_ops: out.completed_ops,
+            total_ops: out.total_ops,
+            trace: out.trace,
         }
-
-        exec.finish(RunStatus::Success, completed, total)
     }
 }
 
-/// A failed routing job: why, and where the droplet was last believed to
-/// be.
-pub(crate) struct JobError {
-    /// The failure class (never `Success`).
-    pub(crate) status: RunStatus,
-    /// Last believed droplet position (the sensed estimate under sensed
-    /// feedback, the true rectangle otherwise).
-    pub(crate) at: Rect,
+/// A one-router pool: every width-1 run drives slot 0 only.
+pub(crate) struct OneRouter<'a>(pub(crate) &'a mut dyn Router);
+
+impl RouterPool for OneRouter<'_> {
+    fn router(&mut self, _slot: usize) -> &mut dyn Router {
+        &mut *self.0
+    }
 }
 
-/// The execution core shared by [`BioassayRunner`] and the
-/// [`Supervisor`](crate::Supervisor): owns the cycle counter, parked
-/// droplets, trace, and chaos bookkeeping, and executes one microfluidic
-/// operation at a time. The runner and the supervisor differ only in the
-/// per-job closure they hand to [`Exec::exec_mo`] — everything else (input
-/// consumption, hold patterns, module cycles, output parking) is this one
-/// code path, which is what keeps supervised fault-free runs bit-identical
-/// to plain ones.
+/// The per-cycle physics every run shares: owns the cycle counter, the
+/// parked (resting) droplets, the actuation trace and the chaos
+/// bookkeeping; applies one cycle's actuation, samples movement outcomes
+/// from the ground-truth **D**, and reads the location sensors. The cycle
+/// loop itself is [`FleetRunner`]'s.
 pub(crate) struct Exec<'a, R: Rng> {
-    pub(crate) config: RunConfig,
     pub(crate) chip: &'a mut Biochip,
-    pub(crate) rng: &'a mut R,
+    rng: &'a mut R,
     chaos: &'a FaultPlan,
     /// Scheduled deaths sorted by cycle; `next_death` marks the first not
     /// yet fired.
@@ -249,24 +227,14 @@ pub(crate) struct Exec<'a, R: Rng> {
     pub(crate) cycles: u64,
     pub(crate) resting: Vec<Rect>,
     pub(crate) trace: Option<Vec<Grid<bool>>>,
-    /// Ground-truth position of the droplet whose job just failed —
-    /// consumed by the next attempt so retries stay physically continuous,
-    /// and readable (without consuming) by [`Exec::resense`].
-    pub(crate) pending: Option<Rect>,
-    /// Per-attempt watchdog: when set (by the supervisor), a single
-    /// [`Exec::run_routed`] call that burns this many cycles without
-    /// reaching its goal fails with the retryable [`RunStatus::Stalled`]
-    /// instead of silently eating the global budget.
-    pub(crate) attempt_budget: Option<u64>,
     /// Per-run telemetry accumulators (flushed on drop).
     tele: TelemetryAcc,
 }
 
 /// Local per-run observability counters. Kept as plain integers on the hot
 /// path and flushed to the global [`meda_telemetry`] registry exactly once,
-/// on drop — which covers both ways an [`Exec`] ends (the runner's
-/// [`Exec::finish`] and the supervisor building its report directly).
-/// Purely passive: never touches the RNG or any simulation output.
+/// when the [`Exec`] is dropped. Purely passive: never touches the RNG or
+/// any simulation output.
 #[derive(Debug, Default)]
 struct TelemetryAcc {
     cycles: u64,
@@ -301,7 +269,6 @@ impl<'a, R: Rng> Exec<'a, R> {
         deaths.sort_by_key(|d| d.at_cycle);
         let fronts = chaos.defect_fronts.iter().map(|&f| (f, 0)).collect();
         Self {
-            config,
             chip,
             rng,
             chaos,
@@ -311,226 +278,8 @@ impl<'a, R: Rng> Exec<'a, R> {
             cycles: 0,
             resting: Vec::new(),
             trace: config.record_actuation.then(Vec::new),
-            pending: None,
-            attempt_budget: None,
             tele: TelemetryAcc::default(),
         }
-    }
-
-    pub(crate) fn finish(
-        self,
-        status: RunStatus,
-        completed_ops: usize,
-        total_ops: usize,
-    ) -> RunOutcome {
-        RunOutcome {
-            cycles: self.cycles,
-            status,
-            completed_ops,
-            total_ops,
-            trace: self.trace,
-        }
-    }
-
-    /// Executes one microfluidic operation: consumes its inputs from the
-    /// parked droplets, runs every routing job through `run_one` (with the
-    /// rest of the chip held in place), then the module's execution cycles,
-    /// then parks the outputs. On `Err` the operation is abandoned
-    /// mid-flight: inputs stay consumed and no outputs appear (the
-    /// operation's droplets are considered sent to waste).
-    pub(crate) fn exec_mo<F>(&mut self, mo: &PlannedMo, run_one: &mut F) -> Result<(), JobError>
-    where
-        F: FnMut(&mut Self, &RoutingJob, &[Rect], usize) -> Result<Rect, JobError>,
-    {
-        // Consume this operation's inputs: they stop being held and become
-        // the routed droplets (or pieces) of its jobs.
-        for input in &mo.inputs {
-            if let Some(pos) = self.resting.iter().position(|r| r == input) {
-                self.resting.swap_remove(pos);
-            }
-        }
-
-        let mut arrived: Vec<Rect> = Vec::new();
-        for (job_idx, job) in mo.jobs.iter().enumerate() {
-            // Everything else on the chip is held in place this job:
-            // parked outputs, this operation's not-yet-routed droplets,
-            // and already-arrived partners.
-            let mut held = self.resting.clone();
-            held.extend(
-                mo.jobs[job_idx + 1..]
-                    .iter()
-                    .map(|j| j.start)
-                    .filter(|r| !r.is_off_chip_origin()),
-            );
-            held.extend(arrived.iter().copied());
-
-            let landed = run_one(self, job, &held, job_idx)?;
-            arrived.push(landed);
-        }
-
-        // The module itself now runs (mixing loops, incubation, …),
-        // actuating its droplets in place for the operation's duration
-        // while everything else on the chip is held.
-        self.module_cycles(mo)?;
-
-        // The operation completes: its outputs appear, arrivals merge or
-        // exit.
-        self.resting.extend(mo.outputs.iter().copied());
-        Ok(())
-    }
-
-    fn module_cycles(&mut self, mo: &PlannedMo) -> Result<(), JobError> {
-        for _ in 0..mo.op.execution_cycles() {
-            if self.cycles >= self.config.k_max {
-                return Err(JobError {
-                    status: RunStatus::CycleLimit,
-                    at: mo.outputs.first().copied().unwrap_or_default(),
-                });
-            }
-            let mut pattern = Grid::new(self.chip.dims(), false);
-            for rect in self.resting.iter().chain(mo.outputs.iter()) {
-                pattern.fill_rect(*rect, true);
-            }
-            self.apply_cycle(pattern);
-        }
-        Ok(())
-    }
-
-    /// Dispensing (Section VI-B): the droplet enters from the nearest chip
-    /// edge and is pushed perpendicular to it; each step still samples the
-    /// EWOD outcome, so a degraded dispense corridor slows entry. Dispense
-    /// is tracked by the dispenser hardware, not the location sensors, so
-    /// sensed feedback does not apply here.
-    pub(crate) fn run_dispense(
-        &mut self,
-        job: &RoutingJob,
-        held: &[Rect],
-    ) -> Result<Rect, JobError> {
-        let goal = job.goal;
-        let dims = self.chip.dims();
-        // Distance to each edge and the inward push direction.
-        let to_edges = [
-            (goal.ya - 1, Dir::N),
-            (dims.height as i32 - goal.yb, Dir::S),
-            (goal.xa - 1, Dir::E),
-            (dims.width as i32 - goal.xb, Dir::W),
-        ];
-        // Fold instead of `min_by_key(..).expect(..)`: the array is
-        // structurally non-empty, so no panic path is needed. Strict `<`
-        // keeps the first minimum, matching `min_by_key`.
-        let (dist, dir) =
-            to_edges[1..].iter().fold(
-                to_edges[0],
-                |best, &cand| if cand.0 < best.0 { cand } else { best },
-            );
-        let (dx, dy) = dir.delta();
-        let mut droplet = goal.translate(-dx * dist, -dy * dist);
-
-        let attempt_start = self.cycles;
-        while droplet != goal {
-            if self.cycles >= self.config.k_max {
-                self.pending = Some(droplet);
-                return Err(JobError {
-                    status: RunStatus::CycleLimit,
-                    at: droplet,
-                });
-            }
-            // The supervisor's per-attempt watchdog applies here too: a
-            // dispense corridor severed by electrode death would otherwise
-            // spin against the dead cells until the global budget dies.
-            if let Some(limit) = self.attempt_budget {
-                if self.cycles - attempt_start >= limit {
-                    self.pending = Some(droplet);
-                    return Err(JobError {
-                        status: RunStatus::Stalled,
-                        at: droplet,
-                    });
-                }
-            }
-            let action = Action::Move(dir);
-            self.actuate(action.apply(droplet), held);
-            droplet = self.sample(droplet, action);
-        }
-        self.pending = None;
-        Ok(goal)
-    }
-
-    /// A routed (non-dispense) job under the router's control. The router
-    /// is fed the ground-truth rectangle, or — with
-    /// [`RunConfig::sensed_feedback`] — the estimate reconstructed from the
-    /// corrupted **Y** matrix each cycle; the commanded actuation pattern
-    /// follows the estimate while the physics follows the truth.
-    pub(crate) fn run_routed(
-        &mut self,
-        job: &RoutingJob,
-        router: &mut dyn Router,
-        held: &[Rect],
-    ) -> Result<Rect, JobError> {
-        if !router.begin_job(job, self.chip.health_field()) {
-            return Err(JobError {
-                status: RunStatus::NoRoute,
-                at: job.start,
-            });
-        }
-        // Physical continuity: a retry of a failed job resumes from the
-        // true droplet position its predecessor left behind, even though
-        // the router only knows the (possibly wrong) estimate in
-        // `job.start`.
-        let mut actual = self.pending.take().unwrap_or(job.start);
-        let mut sensed = job.start;
-        let attempt_start = self.cycles;
-        while !job.goal.contains_rect(sensed) {
-            if self.cycles >= self.config.k_max {
-                self.pending = Some(actual);
-                return Err(JobError {
-                    status: RunStatus::CycleLimit,
-                    at: sensed,
-                });
-            }
-            if let Some(limit) = self.attempt_budget {
-                if self.cycles - attempt_start >= limit {
-                    self.pending = Some(actual);
-                    return Err(JobError {
-                        status: RunStatus::Stalled,
-                        at: sensed,
-                    });
-                }
-            }
-            let Some(action) = router.next_action(sensed, self.chip.health_field()) else {
-                self.pending = Some(actual);
-                return Err(JobError {
-                    status: RunStatus::NoRoute,
-                    at: sensed,
-                });
-            };
-            let commanded = action.apply(sensed);
-            self.actuate(commanded, held);
-            actual = self.sample(actual, action);
-            if self.config.sensed_feedback {
-                match self.sense(actual, sensed, commanded, held) {
-                    Ok(estimate) => sensed = estimate,
-                    Err(status) => {
-                        self.pending = Some(actual);
-                        return Err(JobError { status, at: sensed });
-                    }
-                }
-            } else {
-                sensed = actual;
-            }
-        }
-        self.pending = None;
-        Ok(sensed)
-    }
-
-    /// Builds and applies one cycle's actuation matrix: the commanded
-    /// pattern plus hold patterns for every waiting droplet.
-    fn actuate(&mut self, command: Rect, held: &[Rect]) {
-        let mut pattern = Grid::new(self.chip.dims(), false);
-        pattern.fill_rect(command, true);
-        for rect in held {
-            pattern.fill_rect(*rect, true);
-        }
-        self.apply_cycle(pattern);
     }
 
     /// The single point every cycle goes through: fire scheduled electrode
@@ -709,17 +458,15 @@ impl<'a, R: Rng> Exec<'a, R> {
         Ok(snap_to_size(moving.bounds, last_sensed))
     }
 
-    /// A fresh global read of the location sensors around a failed job —
-    /// the supervisor's first escalation rung. Unlike the per-cycle
-    /// [`Exec::sense`], the search is chip-wide: hold patterns are
-    /// subtracted from **Y** and the remaining cluster nearest the last
-    /// estimate, snapped to droplet size, becomes the new position
-    /// estimate. Returns `None` when no cluster is left (the droplet is
-    /// truly invisible). Consumes no randomness and leaves
-    /// [`Exec::pending`] in place for the retry.
-    pub(crate) fn resense(&mut self, last_estimate: Rect, held: &[Rect]) -> Option<Rect> {
+    /// A fresh global read of the location sensors around a failed job,
+    /// with the droplet truly at `actual` — the failure ladder's first
+    /// rung. Unlike the per-cycle [`Exec::sense`], the search is
+    /// chip-wide: hold patterns are subtracted from **Y** and the remaining
+    /// cluster nearest the last estimate, snapped to droplet size, becomes
+    /// the new position estimate. Returns `None` when no cluster is left
+    /// (the droplet is truly invisible). Consumes no randomness.
+    pub(crate) fn resense(&self, actual: Rect, last_estimate: Rect, held: &[Rect]) -> Option<Rect> {
         let chaos = self.chaos;
-        let actual = self.pending.unwrap_or(last_estimate);
         let mut y = Grid::new(self.chip.dims(), false);
         y.fill_rect(actual, true);
         for rect in held {
@@ -778,20 +525,6 @@ impl ForceProvider for Glitched<'_> {
             self.chip.cell_force(cell)
         }
     }
-}
-
-/// Whether every input rectangle is currently parked (multiset
-/// containment: duplicated rects need duplicated parkings).
-fn inputs_available(inputs: &[Rect], resting: &[Rect]) -> bool {
-    let mut pool = resting.to_vec();
-    inputs.iter().all(|input| {
-        if let Some(pos) = pool.iter().position(|r| r == input) {
-            pool.swap_remove(pos);
-            true
-        } else {
-            false
-        }
-    })
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
-//! Concurrent multi-droplet fleet execution.
+//! The execution engine: the one cycle loop of Algorithm 3 (sense,
+//! re-synthesize when **H** changes, actuate), for one operation in flight
+//! or many.
 //!
-//! The serial [`BioassayRunner`](crate::BioassayRunner) routes one
-//! micro-operation at a time, holding every other droplet in place — the
-//! paper's execution model. This module generalizes it: the fleet engine
-//! dispatches up to [`FleetConfig::max_active`] *independent* operations
-//! (no data dependency between them) onto the chip at once and interleaves
-//! their routing cycle by cycle, so a COVID-PCR panel's parallel branches
-//! overlap instead of queueing. Three mechanisms make that safe:
+//! [`FleetRunner`] dispatches up to [`FleetConfig::max_active`]
+//! *independent* operations (no data dependency between them) onto the
+//! chip at once and interleaves their routing cycle by cycle, so a
+//! COVID-PCR panel's parallel branches overlap instead of queueing. At
+//! width 1 ([`FleetConfig::serial`]) it is the paper's serial execution:
+//! [`BioassayRunner`](crate::BioassayRunner) and the
+//! [`Supervisor`](crate::Supervisor) are width-1 runs of this loop. Three
+//! mechanisms make concurrency safe, all inert at width 1:
 //!
 //! * **Fluidic separation** ([`FluidicConstraints`]): each cycle, every
 //!   proposed move is screened against the other in-flight droplets'
@@ -17,19 +20,21 @@
 //!   dispatched operation reserves its jobs' hazard bounds as
 //!   time-expanded soft [`HazardBox`]es. Peer routers see them through
 //!   [`Router::set_hazards`], so strategy synthesis steers *around* busy
-//!   corridors up front; a reservation shift re-keys the strategy digest
-//!   and re-patches via the warm prioritized re-solve.
+//!   corridors up front.
 //! * **Stall escalation**: a droplet stalled past
 //!   [`FleetConfig::stall_patience`] hardens the blocking peer's rectangle
 //!   into a wall hazard and re-synthesizes a detour; the wall is dropped as
 //!   soon as the droplet moves again.
 //!
-//! With `max_active == 1` ([`FleetConfig::serial`]) none of the fleet
-//! machinery is armed — no hazards are installed, the screening is
-//! vacuous, and the engine replays the serial runner's semantics *exactly*:
-//! same per-cycle actuation patterns, same RNG draws, same cycle counts
-//! (property-pinned by the `fleet_serial_equivalence` oracle and the
-//! golden traces).
+//! Failures follow one policy per task. The per-attempt watchdog
+//! ([`FleetConfig::attempt_cycles`]) turns an attempt that burns its
+//! allowance into [`RunStatus::Stalled`]. Without a [`Ladder`] the first
+//! failure ends the run. With one, a failed routing job climbs re-sense →
+//! re-synthesize with a widened corridor → detour through a fresh
+//! [`RecoveryRouter`], resuming each retry from where the droplet really
+//! is; then the reconfiguration rung relocates the operation onto spare
+//! electrodes; then the operation is aborted, its dependents skipped, and
+//! the rest of the plan runs on.
 //!
 //! Screening compares *commanded* rectangles. With sensed feedback off the
 //! command tracks ground truth, and because droplets move at most two
@@ -41,15 +46,16 @@
 
 use meda_rng::Rng;
 
-use meda_bioassay::{BioassayPlan, MoId};
+use meda_bioassay::{BioassayPlan, MoId, PlannedMo, RoutingJob};
 use meda_core::{Action, Dir, HazardBox};
 use meda_grid::{ChipDims, Grid, Rect};
 use meda_synth::CorridorReservations;
 
-use crate::engine::{Exec, JobError};
+use crate::engine::Exec;
+use crate::supervisor::reconfigure;
 use crate::{
-    AdaptiveConfig, AdaptiveRouter, Biochip, FaultPlan, FluidicConstraints, MoScheduler, Router,
-    RunConfig, RunStatus,
+    AdaptiveConfig, AdaptiveRouter, Biochip, FaultPlan, FluidicConstraints, MoFailure, MoScheduler,
+    RecoveryRouter, Router, RunConfig, RunStatus, Rung, RungCounts,
 };
 
 /// Configuration of a concurrent fleet run.
@@ -57,9 +63,9 @@ use crate::{
 pub struct FleetConfig {
     /// The underlying per-cycle run configuration (budget, trace, sensing).
     pub run: RunConfig,
-    /// Maximum micro-operations in flight at once. `1` replays the serial
-    /// engine bit for bit; the fleet machinery (hazards, screening,
-    /// stalls) arms only above 1.
+    /// Maximum micro-operations in flight at once. `1` is the paper's
+    /// serial execution; the fleet machinery (hazards, screening, stalls)
+    /// arms only above 1.
     pub max_active: usize,
     /// The droplet-separation rules enforced between concurrent movers.
     pub constraints: FluidicConstraints,
@@ -75,18 +81,39 @@ pub struct FleetConfig {
     /// Record the per-cycle positions of every in-flight droplet (the
     /// separation oracle's input; costs memory).
     pub record_movers: bool,
-    /// Supervised degradation: on a routing failure, abort only the
-    /// failing operation (and transitively its dependents) and keep the
-    /// rest of the fleet running, instead of aborting the whole run.
-    pub continue_on_failure: bool,
-    /// Give-up threshold under hard chaos: a mover that makes no physical
-    /// progress (dead electrodes under a commanded move) or holds against
-    /// a fluidic blocker for this many *consecutive* cycles is declared
-    /// [`RunStatus::NoRoute`] and handed to the failure path, instead of
-    /// silently burning the remaining cycle budget. `0` (the default)
-    /// disables the give-up entirely — required for bit-identity with the
-    /// serial engine, which has no such mechanism.
-    pub stall_abort: u64,
+    /// Watchdog: cycles one attempt (a dispense sweep, or one routed try)
+    /// may burn before it fails as [`RunStatus::Stalled`], instead of
+    /// silently eating the global budget — under hard chaos, a droplet on
+    /// dead electrodes or held behind a stranded peer. `None` disarms it.
+    pub attempt_cycles: Option<u64>,
+    /// The failure ladder. `None`: the first failure ends the run.
+    pub ladder: Option<Ladder>,
+}
+
+/// The per-task failure ladder: retry a failed routing job (re-sense,
+/// re-synthesize with a widened corridor, detour), relocate the operation,
+/// then abort it and skip its dependents while the rest of the plan runs
+/// on. Zero budgets abort a failing operation at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ladder {
+    /// Retries allowed per routing job beyond its first attempt. Each
+    /// retry climbs one rung; retry 3 and beyond stay on the detour rung.
+    pub retry_budget: u32,
+    /// Stall patience of the [`RecoveryRouter`] used on the detour rung.
+    pub detour_patience: u32,
+    /// Relocations allowed per operation on the reconfiguration rung
+    /// (0 disables the rung).
+    pub reconfig_budget: u32,
+}
+
+impl Default for Ladder {
+    fn default() -> Self {
+        Self {
+            retry_budget: 3,
+            detour_patience: 4,
+            reconfig_budget: 0,
+        }
+    }
 }
 
 impl Default for FleetConfig {
@@ -96,8 +123,8 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
-    /// Serial mode: one operation in flight, bit-identical to
-    /// [`BioassayRunner`](crate::BioassayRunner).
+    /// Serial mode: one operation in flight — the paper's execution, and
+    /// [`BioassayRunner`](crate::BioassayRunner)'s configuration.
     #[must_use]
     pub fn serial(run: RunConfig) -> Self {
         Self {
@@ -107,8 +134,8 @@ impl FleetConfig {
             stall_patience: 8,
             corridor_attenuation: 0.3,
             record_movers: false,
-            continue_on_failure: false,
-            stall_abort: 0,
+            attempt_cycles: None,
+            ladder: None,
         }
     }
 
@@ -129,15 +156,16 @@ impl FleetConfig {
 }
 
 /// The outcome of a fleet run: the serial outcome fields plus fleet
-/// observability (peak concurrency, stall pressure, per-operation failures
-/// in supervised mode).
+/// observability (peak concurrency, stall pressure) and the failure
+/// ladder's record.
 #[derive(Debug, Clone)]
 pub struct FleetOutcome {
     /// Total operational cycles consumed — the assay *makespan*.
     pub cycles: u64,
-    /// Terminal status ([`RunStatus::Success`] when every operation
-    /// completed; in supervised mode, the first failure's status
-    /// otherwise).
+    /// Terminal status: [`RunStatus::Success`] when every operation
+    /// completed; otherwise [`RunStatus::CycleLimit`] when the budget
+    /// died, the first failure's status, or [`RunStatus::Deadlock`] for a
+    /// malformed plan.
     pub status: RunStatus,
     /// Operations completed.
     pub completed_ops: usize,
@@ -152,11 +180,16 @@ pub struct FleetOutcome {
     pub peak_active: usize,
     /// Total mover-cycles spent stalled behind a fluidic constraint.
     pub stall_cycles: u64,
-    /// Operations aborted by a routing failure (supervised mode), in
-    /// failure order.
-    pub failed: Vec<(MoId, RunStatus)>,
+    /// Every failed operation, in failure order (with a [`Ladder`], the
+    /// aborted ones; without, the one that ended the run).
+    pub failed: Vec<MoFailure>,
     /// Operations skipped because a (transitive) predecessor failed.
     pub skipped: Vec<MoId>,
+    /// How often each ladder rung fired.
+    pub rungs: RungCounts,
+    /// For every completed operation, the highest rung it needed, in
+    /// completion order.
+    pub resolved_by: Vec<(MoId, Rung)>,
 }
 
 impl FleetOutcome {
@@ -181,7 +214,7 @@ impl FleetOutcome {
 /// A per-slot router supply: the fleet engine needs one [`Router`] per
 /// concurrently active operation (routers carry per-job state). Slots are
 /// recycled lowest-free-first, so serial mode always uses slot 0 — one
-/// router instance across the whole run, exactly like the serial engine.
+/// router instance across the whole run.
 pub trait RouterPool {
     /// The router bound to `slot` (slots are dense, `0..max_active`).
     fn router(&mut self, slot: usize) -> &mut dyn Router;
@@ -256,7 +289,7 @@ enum Phase {
 }
 
 /// One active operation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Task {
     mo: MoId,
     slot: usize,
@@ -267,16 +300,49 @@ struct Task {
     arrived: Vec<Rect>,
     /// Consecutive cycles this mover has been stalled.
     stalled_for: u64,
-    /// Consecutive committed moves that produced no physical displacement
-    /// (dead electrodes swallowing the droplet's force); feeds the
-    /// [`FleetConfig::stall_abort`] give-up.
-    no_progress: u64,
     /// Escalation walls (hardened blocker rectangles) feeding this task's
     /// router on top of the peer corridor reservations.
     walls: Vec<HazardBox>,
+    /// The current attempt at the current job: the plan's job, or the
+    /// ladder's re-sensed and widened retry of it.
+    attempt: RoutingJob,
+    /// Cycle the current attempt started (the watchdog's reference).
+    attempt_start: u64,
+    /// Ladder retries the current job has consumed.
+    retries: u32,
+    /// Highest rung any of this operation's jobs needed so far.
+    rung: Rung,
+    /// Ground-truth position left behind by a failed attempt, carried into
+    /// the retry so it resumes from where the droplet really is.
+    pending: Option<Rect>,
+    /// The detour rung's fresh reactive router, replacing the slot router
+    /// for the current attempt.
+    detour: Option<RecoveryRouter>,
+    /// This cycle's action, once asked for: a cycle restarted by a peer's
+    /// failure reuses it instead of asking the router twice.
+    planned: Option<Action>,
 }
 
 impl Task {
+    fn new(mo: MoId, slot: usize) -> Self {
+        Self {
+            mo,
+            slot,
+            job_idx: 0,
+            phase: Phase::Module { remaining: 0 }, // replaced by start_job
+            arrived: Vec::new(),
+            stalled_for: 0,
+            walls: Vec::new(),
+            attempt: RoutingJob::new(Rect::default(), Rect::default(), Rect::default()),
+            attempt_start: 0,
+            retries: 0,
+            rung: Rung::FirstTry,
+            pending: None,
+            detour: None,
+            planned: None,
+        }
+    }
+
     /// The in-flight droplet's ground-truth rectangle (`None` in the
     /// module phase — its droplets are parked outputs).
     fn physical(&self) -> Option<Rect> {
@@ -315,8 +381,10 @@ pub fn dependency_exemption(plan: &BioassayPlan) -> impl Fn(MoId, MoId) -> bool 
 }
 
 /// The dispense entry point: the droplet materializes at the nearest chip
-/// edge and is pushed perpendicular to it — byte-for-byte the serial
-/// engine's edge fold.
+/// edge and is pushed perpendicular to it; each step still samples the
+/// EWOD outcome, so a degraded dispense corridor slows entry. Dispense is
+/// tracked by the dispenser hardware, not the location sensors, so sensed
+/// feedback does not apply to it.
 fn dispense_entry(goal: Rect, dims: ChipDims) -> (Rect, Dir) {
     let to_edges = [
         (goal.ya - 1, Dir::N),
@@ -324,6 +392,8 @@ fn dispense_entry(goal: Rect, dims: ChipDims) -> (Rect, Dir) {
         (goal.xa - 1, Dir::E),
         (dims.width as i32 - goal.xb, Dir::W),
     ];
+    // Fold instead of `min_by_key(..).expect(..)`: strict `<` keeps the
+    // first minimum, with no panic path.
     let (dist, dir) =
         to_edges[1..].iter().fold(
             to_edges[0],
@@ -374,10 +444,8 @@ impl FleetRunner {
         Self { config }
     }
 
-    /// Runs `plan` on `chip` with the fleet engine. With
-    /// [`FleetConfig::serial`] this is bit-identical to
-    /// [`BioassayRunner::run_with_chaos`](crate::BioassayRunner::run_with_chaos)
-    /// driven by the slot-0 router.
+    /// Runs `plan` on `chip`. With [`FleetConfig::serial`] this is the
+    /// paper's serial execution, driven by the slot-0 router.
     pub fn run(
         &self,
         plan: &BioassayPlan,
@@ -389,765 +457,771 @@ impl FleetRunner {
     ) -> FleetOutcome {
         let cfg = self.config;
         let total = plan.operations().len();
-        let mut exec = Exec::new(cfg.run, chip, rng, chaos);
-        let mut done = vec![false; total];
-        let mut failed_mask = vec![false; total];
-        let mut completed = 0usize;
-        let mut failures: Vec<(MoId, RunStatus)> = Vec::new();
-        let mut skipped: Vec<MoId> = Vec::new();
-        let mut tasks: Vec<Task> = Vec::new();
-        let mut free_slots: Vec<usize> = (0..cfg.max_active).rev().collect();
-        let mut reservations = CorridorReservations::new();
-        let mut movers_log = cfg.record_movers.then(Vec::new);
-        let mut peak_active = 0usize;
-        let mut stall_cycles = 0u64;
-        let mut dispatches = 0u64;
-
-        // Releases one task's fleet footprint (slot + corridor).
-        let release = |task: &Task, free: &mut Vec<usize>, res: &mut CorridorReservations| {
-            free.push(task.slot);
-            free.sort_unstable_by(|a, b| b.cmp(a)); // pop() yields the lowest
-            res.release(task.mo);
+        let mut run = Run {
+            cfg,
+            plan,
+            working: None,
+            exec: Exec::new(cfg.run, chip, rng, chaos),
+            pool,
+            tasks: Vec::new(),
+            done: vec![false; total],
+            failed_mask: vec![false; total],
+            reconfigs_left: vec![cfg.ladder.map_or(0, |l| l.reconfig_budget); total],
+            completed: 0,
+            failures: Vec::new(),
+            skipped: Vec::new(),
+            rungs: RungCounts::default(),
+            resolved_by: Vec::new(),
+            free_slots: (0..cfg.max_active).rev().collect(),
+            reservations: CorridorReservations::new(),
+            stall_cycles: 0,
+            peak_active: 0,
+            dispatches: 0,
         };
-
-        let status = 'run: loop {
-            // --- Cycle boundary: transitions, completions, dispatch. ---
-            loop {
-                let mut changed = false;
-
-                // Advance every task whose current stage is finished; loop
-                // within the task because a job can be zero-cycle (start
-                // inside goal) and a module can have zero execution cycles.
-                let mut ti = 0;
-                while ti < tasks.len() {
-                    let mut remove = false;
-                    loop {
-                        let mo = &plan.operations()[tasks[ti].mo];
-                        let advance = match tasks[ti].phase {
-                            Phase::Dispense { droplet, .. } => {
-                                (droplet == mo.jobs[tasks[ti].job_idx].goal).then_some(droplet)
-                            }
-                            Phase::Route { sensed, .. } => mo.jobs[tasks[ti].job_idx]
-                                .goal
-                                .contains_rect(sensed)
-                                .then_some(sensed),
-                            Phase::Module { remaining } => {
-                                if remaining == 0 {
-                                    // The operation completes: outputs
-                                    // appear, the slot and corridor free up.
-                                    exec.resting.extend(mo.outputs.iter().copied());
-                                    done[tasks[ti].mo] = true;
-                                    completed += 1;
-                                    release(&tasks[ti], &mut free_slots, &mut reservations);
-                                    remove = true;
-                                    changed = true;
-                                }
-                                break;
-                            }
-                        };
-                        let Some(landed) = advance else { break };
-                        changed = true;
-                        tasks[ti].arrived.push(landed);
-                        tasks[ti].job_idx += 1;
-                        if let Err(err) =
-                            self.start_job(&mut tasks[ti], plan, &mut exec, pool, &reservations)
-                        {
-                            if cfg.continue_on_failure && err.status != RunStatus::CycleLimit {
-                                failures.push((tasks[ti].mo, err.status));
-                                failed_mask[tasks[ti].mo] = true;
-                                release(&tasks[ti], &mut free_slots, &mut reservations);
-                                remove = true;
-                            } else {
-                                break 'run err.status;
-                            }
-                            break;
-                        }
-                    }
-                    if remove {
-                        tasks.remove(ti);
-                    } else {
-                        ti += 1;
+        let mut movers_log = cfg.record_movers.then(Vec::new);
+        let status = loop {
+            match run.step(scheduler) {
+                Ok(cycled) => {
+                    if let (true, Some(log)) = (cycled, movers_log.as_mut()) {
+                        log.push(
+                            run.tasks
+                                .iter()
+                                .filter_map(|t| t.physical().map(|r| (t.mo, r)))
+                                .collect::<Vec<_>>(),
+                        );
                     }
                 }
-
-                // Transitively skip dependents of failed operations (plan
-                // ids are topological, one increasing pass suffices).
-                if cfg.continue_on_failure {
-                    for id in 0..total {
-                        let mo = &plan.operations()[id];
-                        if !done[id] && !failed_mask[id] && mo.pre.iter().any(|&p| failed_mask[p]) {
-                            failed_mask[id] = true;
-                            skipped.push(id);
-                        }
-                    }
-                }
-
-                // Dispatch ready operations into free slots.
-                if tasks.len() < cfg.max_active {
-                    let active: Vec<MoId> = tasks.iter().map(|t| t.mo).collect();
-                    let ready: Vec<MoId> = plan
-                        .operations()
-                        .iter()
-                        .filter(|mo| {
-                            !done[mo.id]
-                                && !failed_mask[mo.id]
-                                && !active.contains(&mo.id)
-                                && mo.pre.iter().all(|&p| done[p])
-                        })
-                        .map(|mo| mo.id)
-                        .collect();
-                    if !ready.is_empty() {
-                        let slots = cfg.max_active - tasks.len();
-                        let picks =
-                            scheduler.dispatch(&ready, plan, exec.chip.health_field(), slots);
-                        for mo in picks {
-                            match self.admit(
-                                mo,
-                                plan,
-                                &mut exec,
-                                pool,
-                                &mut reservations,
-                                &mut tasks,
-                                &mut free_slots,
-                            ) {
-                                Ok(true) => {
-                                    dispatches += 1;
-                                    changed = true;
-                                }
-                                Ok(false) => {} // deferred: separation or a busy corridor
-                                Err(err) => {
-                                    if cfg.continue_on_failure
-                                        && err.status != RunStatus::CycleLimit
-                                    {
-                                        failures.push((mo, err.status));
-                                        failed_mask[mo] = true;
-                                        changed = true;
-                                    } else {
-                                        break 'run err.status;
-                                    }
-                                }
-                            }
-                        }
-                        tasks.sort_by_key(|t| t.mo);
-                    }
-                }
-
-                if !changed {
-                    break;
-                }
-            }
-
-            if completed == total {
-                break RunStatus::Success;
-            }
-            if tasks.is_empty() {
-                // Nothing in flight and nothing admissible: either the
-                // dependency graph is wedged, or (supervised) every
-                // remaining operation failed or was skipped.
-                break if let Some(&(_, st)) = failures.first() {
-                    st
-                } else {
-                    RunStatus::Deadlock
-                };
-            }
-            peak_active = peak_active.max(tasks.len());
-
-            // --- One movement cycle. ---
-            if exec.cycles >= cfg.run.k_max {
-                break RunStatus::CycleLimit;
-            }
-
-            // Decide every mover's command in MoId order, screening against
-            // peers already committed this cycle (their next) and peers not
-            // yet decided (their current).
-            let mut decisions: Vec<Option<Decision>> = vec![None; tasks.len()];
-            let mut ti = 0;
-            while ti < tasks.len() {
-                let (action, commanded) = match tasks[ti].phase {
-                    Phase::Module { .. } => {
-                        ti += 1;
-                        continue;
-                    }
-                    Phase::Dispense { droplet, dir } => {
-                        let action = Action::Move(dir);
-                        (action, action.apply(droplet))
-                    }
-                    Phase::Route { sensed, .. } => {
-                        let job = &plan.operations()[tasks[ti].mo].jobs[tasks[ti].job_idx];
-                        debug_assert!(!job.is_dispense());
-                        let health = exec.chip.health_field();
-                        let router = pool.router(tasks[ti].slot);
-                        if cfg.is_fleet() {
-                            let mut boxes = reservations.boxes_excluding(tasks[ti].mo);
-                            boxes.extend(tasks[ti].walls.iter().copied());
-                            router.set_hazards(&boxes);
-                        }
-                        let action = match router.next_action(sensed, health) {
-                            Some(a) => a,
-                            None if !tasks[ti].walls.is_empty() => {
-                                // The escalation wall painted the job into a
-                                // corner; drop it and fall back to waiting.
-                                tasks[ti].walls.clear();
-                                let boxes = reservations.boxes_excluding(tasks[ti].mo);
-                                router.set_hazards(&boxes);
-                                match router.next_action(sensed, health) {
-                                    Some(a) => a,
-                                    None => {
-                                        if let Some(st) = self.mover_failure(
-                                            ti,
-                                            RunStatus::NoRoute,
-                                            &mut tasks,
-                                            &mut failures,
-                                            &mut failed_mask,
-                                            &mut free_slots,
-                                            &mut reservations,
-                                            &release,
-                                        ) {
-                                            break 'run st;
-                                        }
-                                        decisions.remove(ti);
-                                        continue;
-                                    }
-                                }
-                            }
-                            None => {
-                                if let Some(st) = self.mover_failure(
-                                    ti,
-                                    RunStatus::NoRoute,
-                                    &mut tasks,
-                                    &mut failures,
-                                    &mut failed_mask,
-                                    &mut free_slots,
-                                    &mut reservations,
-                                    &release,
-                                ) {
-                                    break 'run st;
-                                }
-                                decisions.remove(ti);
-                                continue;
-                            }
-                        };
-                        (action, action.apply(sensed))
-                    }
-                };
-
-                // Fluidic screening against every other in-flight droplet.
-                let mut blocker: Option<Rect> = None;
-                if cfg.constraints.is_enabled() {
-                    for tj in 0..tasks.len() {
-                        if tj == ti || tasks[tj].mo == tasks[ti].mo {
-                            continue;
-                        }
-                        let Some(peer_cur) = tasks[tj].physical() else {
-                            continue;
-                        };
-                        let peer_next = match decisions[tj] {
-                            Some(Decision::Move { commanded, .. }) => Some(commanded),
-                            Some(Decision::Hold) => Some(peer_cur),
-                            None => None,
-                        };
-                        if !cfg
-                            .constraints
-                            .admissible_against(commanded, peer_cur, peer_next)
-                        {
-                            blocker = Some(peer_cur);
-                            break;
-                        }
-                    }
-                }
-
-                if let Some(block) = blocker {
-                    if cfg.stall_abort > 0 && tasks[ti].stalled_for >= cfg.stall_abort {
-                        // Held against a peer past the give-up threshold
-                        // (e.g. a chaos-stranded droplet squatting on our
-                        // corridor): declare the mover lost rather than
-                        // burning the remaining budget.
-                        if let Some(st) = self.mover_failure(
-                            ti,
-                            RunStatus::NoRoute,
-                            &mut tasks,
-                            &mut failures,
-                            &mut failed_mask,
-                            &mut free_slots,
-                            &mut reservations,
-                            &release,
-                        ) {
-                            break 'run st;
-                        }
-                        decisions.remove(ti);
-                        continue;
-                    }
-                    decisions[ti] = Some(Decision::Hold);
-                    tasks[ti].stalled_for += 1;
-                    stall_cycles += 1;
-                    if cfg.is_fleet()
-                        && tasks[ti].stalled_for >= cfg.stall_patience
-                        && tasks[ti].walls.is_empty()
-                    {
-                        // Patience exhausted: harden the blocker's current
-                        // footprint into a wall (unless that would wall off
-                        // our own goal) and let the digest shift force a
-                        // detour re-synthesis.
-                        let ring = cfg.constraints.ring().max(0);
-                        let wall = block.expand(ring);
-                        let job = &plan.operations()[tasks[ti].mo].jobs[tasks[ti].job_idx];
-                        if !wall.intersects(job.goal) {
-                            tasks[ti].walls.push(HazardBox::wall(wall));
-                        }
-                    }
-                } else {
-                    decisions[ti] = Some(Decision::Move { action, commanded });
-                }
-                ti += 1;
-            }
-
-            // One union actuation pattern for the whole chip this cycle.
-            let mut pattern = Grid::new(exec.chip.dims(), false);
-            for (ti, task) in tasks.iter().enumerate() {
-                match decisions[ti] {
-                    Some(Decision::Move { commanded, .. }) => {
-                        pattern.fill_rect(commanded, true);
-                    }
-                    Some(Decision::Hold) => {
-                        if let Some(cur) = task.belief() {
-                            pattern.fill_rect(cur, true);
-                        }
-                    }
-                    None => {}
-                }
-                let mo = &plan.operations()[task.mo];
-                match task.phase {
-                    Phase::Module { .. } => {
-                        for out in &mo.outputs {
-                            pattern.fill_rect(*out, true);
-                        }
-                    }
-                    _ => {
-                        for start in mo.jobs[task.job_idx + 1..]
-                            .iter()
-                            .map(|j| j.start)
-                            .filter(|r| !r.is_off_chip_origin())
-                        {
-                            pattern.fill_rect(start, true);
-                        }
-                        for r in &task.arrived {
-                            pattern.fill_rect(*r, true);
-                        }
-                    }
-                }
-            }
-            for r in &exec.resting {
-                pattern.fill_rect(*r, true);
-            }
-            exec.apply_cycle(pattern);
-
-            // Sample every committed mover's physical outcome, in MoId
-            // order (one RNG draw per mover, exactly like the serial
-            // engine's per-cycle draw).
-            for ti in 0..tasks.len() {
-                let Some(Decision::Move { action, .. }) = decisions[ti] else {
-                    if let Phase::Module { ref mut remaining } = tasks[ti].phase {
-                        *remaining -= 1;
-                    }
-                    continue;
-                };
-                let moved = match &mut tasks[ti].phase {
-                    Phase::Dispense { droplet, .. } => {
-                        let before = *droplet;
-                        *droplet = exec.sample(*droplet, action);
-                        *droplet != before
-                    }
-                    Phase::Route { actual, sensed } => {
-                        let before = *actual;
-                        *actual = exec.sample(*actual, action);
-                        if !cfg.run.sensed_feedback {
-                            // Open-loop: the controller is handed ground
-                            // truth, exactly like the serial engine.
-                            *sensed = *actual;
-                        }
-                        *actual != before
-                    }
-                    Phase::Module { .. } => unreachable!("modules never commit moves"),
-                };
-                if moved {
-                    tasks[ti].no_progress = 0;
-                } else {
-                    tasks[ti].no_progress += 1;
-                }
-                if tasks[ti].stalled_for > 0 {
-                    meda_telemetry::global()
-                        .histogram("sim.fleet.stall_streak")
-                        .record(tasks[ti].stalled_for);
-                    tasks[ti].stalled_for = 0;
-                    tasks[ti].walls.clear();
-                }
-            }
-
-            // Close the sensing loop for committed routed movers.
-            if cfg.run.sensed_feedback {
-                let mut failed_now: Vec<(usize, RunStatus)> = Vec::new();
-                for ti in 0..tasks.len() {
-                    let Some(Decision::Move { action, .. }) = decisions[ti] else {
-                        continue;
-                    };
-                    let Phase::Route { actual, sensed } = tasks[ti].phase else {
-                        continue;
-                    };
-                    let commanded = action.apply(sensed);
-                    let held = self.held_for(ti, &tasks, plan, &exec);
-                    match exec.sense(actual, sensed, commanded, &held) {
-                        Ok(estimate) => {
-                            if let Phase::Route { sensed, .. } = &mut tasks[ti].phase {
-                                *sensed = estimate;
-                            }
-                        }
-                        Err(st) => failed_now.push((ti, st)),
-                    }
-                }
-                for &(ti, st) in failed_now.iter().rev() {
-                    if let Some(st) = self.mover_failure(
-                        ti,
-                        st,
-                        &mut tasks,
-                        &mut failures,
-                        &mut failed_mask,
-                        &mut free_slots,
-                        &mut reservations,
-                        &release,
-                    ) {
-                        break 'run st;
-                    }
-                }
-            }
-
-            if let Some(log) = movers_log.as_mut() {
-                log.push(
-                    tasks
-                        .iter()
-                        .filter_map(|t| t.physical().map(|r| (t.mo, r)))
-                        .collect::<Vec<_>>(),
-                );
-            }
-
-            // Give-up sweep: movers whose commanded moves have produced no
-            // displacement for `stall_abort` consecutive cycles are sitting
-            // on dead electrodes with no detour in sight — fail them now
-            // instead of burning the remaining cycle budget.
-            if cfg.stall_abort > 0 {
-                let aborted: Vec<usize> = tasks
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, t)| t.no_progress >= cfg.stall_abort)
-                    .map(|(ti, _)| ti)
-                    .collect();
-                for &ti in aborted.iter().rev() {
-                    if let Some(st) = self.mover_failure(
-                        ti,
-                        RunStatus::NoRoute,
-                        &mut tasks,
-                        &mut failures,
-                        &mut failed_mask,
-                        &mut free_slots,
-                        &mut reservations,
-                        &release,
-                    ) {
-                        break 'run st;
-                    }
-                }
+                Err(status) => break status,
             }
         };
 
         let telemetry = meda_telemetry::global();
         telemetry.add("sim.fleet.runs", 1);
-        telemetry.add("sim.fleet.dispatches", dispatches);
-        telemetry.add("sim.fleet.stall_cycles", stall_cycles);
-        telemetry.add("sim.fleet.peak_active", peak_active as u64);
+        telemetry.add("sim.fleet.dispatches", run.dispatches);
+        telemetry.add("sim.fleet.stall_cycles", run.stall_cycles);
+        telemetry.add("sim.fleet.peak_active", run.peak_active as u64);
 
-        let cycles = exec.cycles;
-        let trace = exec.trace.take();
-        drop(exec);
         FleetOutcome {
-            cycles,
+            cycles: run.exec.cycles,
             status,
-            completed_ops: completed,
+            completed_ops: run.completed,
             total_ops: total,
-            trace,
+            trace: run.exec.trace.take(),
             movers: movers_log,
-            peak_active,
-            stall_cycles,
-            failed: failures,
-            skipped,
+            peak_active: run.peak_active,
+            stall_cycles: run.stall_cycles,
+            failed: run.failures,
+            skipped: run.skipped,
+            rungs: run.rungs,
+            resolved_by: run.resolved_by,
         }
     }
+}
 
-    /// Tries to admit `mo` into a free slot. `Ok(true)` — admitted (inputs
-    /// consumed, task pushed); `Ok(false)` — deferred this cycle
-    /// (separation against an in-flight peer, or the router declined under
-    /// corridor hazards while peers are active — it will be retried);
-    /// `Err` — the first job is infeasible with nothing else in flight.
-    #[allow(clippy::too_many_arguments)]
-    fn admit<R: Rng>(
-        &self,
-        mo_id: MoId,
-        plan: &BioassayPlan,
-        exec: &mut Exec<'_, R>,
-        pool: &mut dyn RouterPool,
-        reservations: &mut CorridorReservations,
-        tasks: &mut Vec<Task>,
-        free_slots: &mut Vec<usize>,
-    ) -> Result<bool, JobError> {
-        let cfg = self.config;
-        let mo = &plan.operations()[mo_id];
+/// The state of one fleet run: the cycle loop lives in [`Run::step`], the
+/// failure policy in [`Run::fail`].
+struct Run<'a, 'p, R: Rng> {
+    cfg: FleetConfig,
+    plan: &'p BioassayPlan,
+    /// The plan as the reconfiguration rung rewrote it (cloned on the first
+    /// relocation; dependency topology never changes).
+    working: Option<BioassayPlan>,
+    exec: Exec<'a, R>,
+    pool: &'a mut dyn RouterPool,
+    /// Active operations, in `MoId` order.
+    tasks: Vec<Task>,
+    done: Vec<bool>,
+    /// Aborted or skipped operations.
+    failed_mask: Vec<bool>,
+    reconfigs_left: Vec<u32>,
+    completed: usize,
+    failures: Vec<MoFailure>,
+    skipped: Vec<MoId>,
+    rungs: RungCounts,
+    resolved_by: Vec<(MoId, Rung)>,
+    free_slots: Vec<usize>,
+    reservations: CorridorReservations,
+    stall_cycles: u64,
+    peak_active: usize,
+    dispatches: u64,
+}
 
-        // Admission separation: the first droplet must materialize clear of
-        // every in-flight peer (vacuous in serial mode — the single slot is
-        // only free when nothing is active).
-        if let Some(first) = mo.jobs.first() {
-            let entry = if first.is_dispense() {
-                dispense_entry(first.goal, exec.chip.dims()).0
-            } else {
-                first.start
-            };
-            if cfg.constraints.is_enabled() {
-                let clear = tasks
-                    .iter()
-                    .filter(|t| t.mo != mo_id)
-                    .filter_map(Task::physical)
-                    .all(|peer| cfg.constraints.separated(entry, peer));
-                if !clear {
-                    return Ok(false);
-                }
+impl<R: Rng> Run<'_, '_, R> {
+    fn ops(&self) -> &[PlannedMo] {
+        self.working.as_ref().unwrap_or(self.plan).operations()
+    }
+
+    /// One pass of the control loop (Algorithm 3: sense, re-synthesize on
+    /// a changed **H**, actuate): settle and dispatch, then either end the
+    /// run (`Err(status)`), restart the pass after a failure that cost no
+    /// cycle (`Ok(false)`), or execute one cycle (`Ok(true)`).
+    fn step(&mut self, scheduler: &mut dyn MoScheduler) -> Result<bool, RunStatus> {
+        self.boundary(scheduler)?;
+        if self.completed == self.done.len() {
+            return Err(RunStatus::Success);
+        }
+        if self.tasks.is_empty() {
+            // Nothing in flight and nothing admissible: either the
+            // dependency graph is wedged, or every remaining operation
+            // failed or was skipped.
+            return Err(self
+                .failures
+                .first()
+                .map_or(RunStatus::Deadlock, |f| f.status));
+        }
+        self.peak_active = self.peak_active.max(self.tasks.len());
+        if self.exec.cycles >= self.cfg.run.k_max {
+            for ti in 0..self.tasks.len() {
+                let mo = &self.ops()[self.tasks[ti].mo];
+                let at = self.tasks[ti]
+                    .belief()
+                    .unwrap_or_else(|| mo.outputs.first().copied().unwrap_or_default());
+                self.record_failure(ti, RunStatus::CycleLimit, at);
+            }
+            return Err(RunStatus::CycleLimit);
+        }
+
+        // The watchdog: an attempt that has burnt its cycle allowance
+        // without reaching its goal is stalled.
+        if let Some(limit) = self.cfg.attempt_cycles {
+            let cycles = self.exec.cycles;
+            if let Some(ti) = self
+                .tasks
+                .iter()
+                .position(|t| t.physical().is_some() && cycles - t.attempt_start >= limit)
+            {
+                let task = &mut self.tasks[ti];
+                let at = task.belief().unwrap_or_default();
+                task.pending = task.physical();
+                self.fail(ti, RunStatus::Stalled, at)?;
+                return Ok(false);
             }
         }
 
-        let Some(slot) = free_slots.pop() else {
+        // Ask every mover for this cycle's action, in MoId order.
+        for ti in 0..self.tasks.len() {
+            if self.tasks[ti].planned.is_some() {
+                continue;
+            }
+            let action = match self.tasks[ti].phase {
+                Phase::Module { .. } => continue,
+                Phase::Dispense { dir, .. } => Action::Move(dir),
+                Phase::Route { actual, sensed } => match self.ask_router(ti, sensed) {
+                    Some(action) => action,
+                    None => {
+                        self.tasks[ti].pending = Some(actual);
+                        self.fail(ti, RunStatus::NoRoute, sensed)?;
+                        return Ok(false);
+                    }
+                },
+            };
+            self.tasks[ti].planned = Some(action);
+        }
+
+        let decisions = self.screen();
+        self.actuate(&decisions);
+        let failed = self.sample_and_sense(&decisions);
+        for (ti, status, at) in failed.into_iter().rev() {
+            self.fail(ti, status, at)?;
+        }
+        Ok(true)
+    }
+
+    /// The cycle boundary: advance every task whose stage is finished,
+    /// skip the dependents of aborted operations, and dispatch ready
+    /// operations into free slots — until nothing changes.
+    fn boundary(&mut self, scheduler: &mut dyn MoScheduler) -> Result<(), RunStatus> {
+        loop {
+            let mut changed = false;
+            let mut ti = 0;
+            while ti < self.tasks.len() {
+                let (advanced, present) = self.settle(ti)?;
+                changed |= advanced;
+                if present {
+                    ti += 1;
+                }
+            }
+
+            // Transitively skip dependents of failed operations (plan ids
+            // are topological, one increasing pass suffices).
+            for id in 0..self.done.len() {
+                let pre = &self.plan.operations()[id].pre;
+                if !self.done[id]
+                    && !self.failed_mask[id]
+                    && pre.iter().any(|&p| self.failed_mask[p])
+                {
+                    self.failed_mask[id] = true;
+                    self.skipped.push(id);
+                }
+            }
+
+            if self.tasks.len() < self.cfg.max_active {
+                let ready: Vec<MoId> = self
+                    .plan
+                    .operations()
+                    .iter()
+                    .filter(|mo| {
+                        !self.done[mo.id]
+                            && !self.failed_mask[mo.id]
+                            && !self.tasks.iter().any(|t| t.mo == mo.id)
+                            && mo.pre.iter().all(|&p| self.done[p])
+                    })
+                    .map(|mo| mo.id)
+                    .collect();
+                if !ready.is_empty() {
+                    let slots = self.cfg.max_active - self.tasks.len();
+                    let picks =
+                        scheduler.dispatch(&ready, self.plan, self.exec.chip.health_field(), slots);
+                    for mo in picks {
+                        changed |= self.admit(mo)?;
+                    }
+                    self.tasks.sort_by_key(|t| t.mo);
+                }
+            }
+
+            if !changed {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Advances task `ti` through every stage already finished — a job can
+    /// be zero-cycle (start inside goal), a module can have zero execution
+    /// cycles. Returns `(changed, still active)`.
+    fn settle(&mut self, ti: usize) -> Result<(bool, bool), RunStatus> {
+        let mut changed = false;
+        loop {
+            let task = &self.tasks[ti];
+            let mo = &self.ops()[task.mo];
+            let landed = match task.phase {
+                Phase::Dispense { droplet, .. } => {
+                    (droplet == mo.jobs[task.job_idx].goal).then_some(droplet)
+                }
+                Phase::Route { sensed, .. } => mo.jobs[task.job_idx]
+                    .goal
+                    .contains_rect(sensed)
+                    .then_some(sensed),
+                Phase::Module { remaining } => {
+                    if remaining > 0 {
+                        return Ok((changed, true));
+                    }
+                    // The operation completes: outputs appear, the slot
+                    // and corridor free up.
+                    let outputs = mo.outputs.clone();
+                    self.exec.resting.extend(outputs);
+                    let task = self.tasks.remove(ti);
+                    self.done[task.mo] = true;
+                    self.completed += 1;
+                    self.resolved_by.push((task.mo, task.rung));
+                    self.release(&task);
+                    return Ok((true, false));
+                }
+            };
+            let Some(landed) = landed else {
+                return Ok((changed, true));
+            };
+            changed = true;
+            let task = &mut self.tasks[ti];
+            task.rung = task.rung.max(match task.retries {
+                0 => Rung::FirstTry,
+                1 => Rung::Resense,
+                2 => Rung::Resynth,
+                _ => Rung::Detour,
+            });
+            task.pending = None;
+            task.arrived.push(landed);
+            task.job_idx += 1;
+            if let Err(status) = self.start_job(ti) {
+                let at = self.tasks[ti].attempt.start;
+                if !self.fail(ti, status, at)? {
+                    return Ok((true, false));
+                }
+            }
+        }
+    }
+
+    /// Tries to admit `mo_id` into a free slot; `Ok(true)` when the
+    /// operation started (or failed and went to the failure policy).
+    /// Deferred this cycle (`Ok(false)`): separation against an in-flight
+    /// peer, or the router declined under corridor hazards while peers are
+    /// active — it will be retried.
+    fn admit(&mut self, mo_id: MoId) -> Result<bool, RunStatus> {
+        let cfg = self.cfg;
+        // Admission separation: the first droplet must materialize clear of
+        // every in-flight peer (vacuous in serial mode — the single slot is
+        // only free when nothing is active).
+        if let Some(first) = self.ops()[mo_id].jobs.first() {
+            let entry = if first.is_dispense() {
+                dispense_entry(first.goal, self.exec.chip.dims()).0
+            } else {
+                first.start
+            };
+            if cfg.constraints.is_enabled()
+                && !self
+                    .tasks
+                    .iter()
+                    .filter_map(Task::physical)
+                    .all(|peer| cfg.constraints.separated(entry, peer))
+            {
+                return Ok(false);
+            }
+        }
+        let Some(slot) = self.free_slots.pop() else {
             return Ok(false);
         };
 
         // Reserve the corridor first so peers of *this* operation see it
         // from their very next synthesis query.
         if cfg.is_fleet() {
-            let boxes: Vec<HazardBox> = mo
+            let boxes: Vec<HazardBox> = self.ops()[mo_id]
                 .jobs
                 .iter()
                 .map(|j| HazardBox::soft(j.bounds, cfg.corridor_attenuation))
                 .collect();
-            reservations.reserve(mo_id, boxes);
+            self.reservations.reserve(mo_id, boxes);
         }
 
-        let mut task = Task {
-            mo: mo_id,
-            slot,
-            job_idx: 0,
-            phase: Phase::Module { remaining: 0 }, // replaced by start_job
-            arrived: Vec::new(),
-            stalled_for: 0,
-            no_progress: 0,
-            walls: Vec::new(),
-        };
-        if let Err(err) = self.start_job(&mut task, plan, exec, pool, reservations) {
-            reservations.release(mo_id);
-            free_slots.push(slot);
-            free_slots.sort_unstable_by(|a, b| b.cmp(a));
-            if tasks.is_empty() {
-                // Nothing else in flight and no hazard to blame: genuinely
-                // infeasible, exactly like the serial engine's NoRoute.
-                return Err(err);
-            }
+        self.tasks.push(Task::new(mo_id, slot));
+        let ti = self.tasks.len() - 1;
+        let started = self.start_job(ti);
+        if started.is_err() && ti > 0 {
+            let task = self.tasks.remove(ti);
+            self.release(&task);
             return Ok(false);
         }
-
         // Inputs are consumed only once admission is certain.
-        for input in &mo.inputs {
-            if let Some(pos) = exec.resting.iter().position(|r| r == input) {
-                exec.resting.swap_remove(pos);
+        for input in self.ops()[mo_id].inputs.clone() {
+            if let Some(pos) = self.exec.resting.iter().position(|r| *r == input) {
+                self.exec.resting.swap_remove(pos);
             }
         }
-        tasks.push(task);
+        self.dispatches += 1;
+        if let Err(status) = started {
+            // Nothing else in flight and no hazard to blame: genuinely
+            // infeasible, a failure like any other.
+            let at = self.tasks[ti].attempt.start;
+            self.fail(ti, status, at)?;
+        }
         Ok(true)
     }
 
-    /// Initializes `task.phase` for its current `job_idx` (or enters the
-    /// module phase when the jobs are exhausted). Routed jobs call
-    /// [`Router::begin_job`] here — under the current corridor hazards in
-    /// fleet mode.
-    fn start_job<R: Rng>(
-        &self,
-        task: &mut Task,
-        plan: &BioassayPlan,
-        exec: &mut Exec<'_, R>,
-        pool: &mut dyn RouterPool,
-        reservations: &CorridorReservations,
-    ) -> Result<(), JobError> {
-        let mo = &plan.operations()[task.mo];
-        if task.job_idx >= mo.jobs.len() {
-            task.phase = Phase::Module {
-                remaining: mo.op.execution_cycles(),
-            };
+    /// Initializes task `ti` for its current `job_idx` (or enters the
+    /// module phase when the jobs are exhausted).
+    fn start_job(&mut self, ti: usize) -> Result<(), RunStatus> {
+        let task = &self.tasks[ti];
+        let mo = &self.ops()[task.mo];
+        let Some(&job) = mo.jobs.get(task.job_idx) else {
+            let remaining = mo.op.execution_cycles();
+            let task = &mut self.tasks[ti];
+            task.phase = Phase::Module { remaining };
             task.arrived.clear();
             return Ok(());
-        }
-        let job = &mo.jobs[task.job_idx];
+        };
+        let task = &mut self.tasks[ti];
+        task.retries = 0;
+        task.detour = None;
         if job.is_dispense() {
-            let (droplet, dir) = dispense_entry(job.goal, exec.chip.dims());
+            let (droplet, dir) = dispense_entry(job.goal, self.exec.chip.dims());
             task.phase = Phase::Dispense { droplet, dir };
-        } else {
-            let health = exec.chip.health_field();
-            let router = pool.router(task.slot);
-            if self.config.is_fleet() {
-                let mut boxes = reservations.boxes_excluding(task.mo);
-                boxes.extend(task.walls.iter().copied());
-                router.set_hazards(&boxes);
-            }
-            if !router.begin_job(job, health) {
-                return Err(JobError {
-                    status: RunStatus::NoRoute,
-                    at: job.start,
-                });
-            }
-            task.phase = Phase::Route {
-                actual: job.start,
-                sensed: job.start,
-            };
+            task.attempt = job;
+            task.attempt_start = self.exec.cycles;
+            return Ok(());
         }
+        self.start_attempt(ti, job)
+    }
+
+    /// Starts one routed attempt: the droplet resumes from its true
+    /// position (a failed attempt's, or the job's start), and the router
+    /// prepares under the current corridor hazards in fleet mode.
+    fn start_attempt(&mut self, ti: usize, attempt: RoutingJob) -> Result<(), RunStatus> {
+        let task = &mut self.tasks[ti];
+        task.attempt = attempt;
+        task.planned = None;
+        task.phase = Phase::Route {
+            actual: task.pending.unwrap_or(attempt.start),
+            sensed: attempt.start,
+        };
+        let health = self.exec.chip.health_field();
+        let router: &mut dyn Router = match task.detour.as_mut() {
+            Some(detour) => detour,
+            None => self.pool.router(task.slot),
+        };
+        if self.cfg.is_fleet() {
+            let mut boxes = self.reservations.boxes_excluding(task.mo);
+            boxes.extend(task.walls.iter().copied());
+            router.set_hazards(&boxes);
+        }
+        if !router.begin_job(&attempt, health) {
+            // The failed droplet's true position stays pending for the
+            // ladder's next attempt.
+            return Err(RunStatus::NoRoute);
+        }
+        task.pending = None;
+        task.attempt_start = self.exec.cycles;
         Ok(())
     }
 
-    /// Everything on the chip except task `ti`'s own moving droplet — the
-    /// hold set its sensing subtraction uses. In serial mode this is
-    /// exactly the serial engine's held set (resting + later job starts +
-    /// arrived partners).
-    fn held_for<R: Rng>(
-        &self,
-        ti: usize,
-        tasks: &[Task],
-        plan: &BioassayPlan,
-        exec: &Exec<'_, R>,
-    ) -> Vec<Rect> {
-        let mut held = exec.resting.clone();
-        for (tj, task) in tasks.iter().enumerate() {
-            let mo = &plan.operations()[task.mo];
-            match task.phase {
-                Phase::Module { .. } => held.extend(mo.outputs.iter().copied()),
-                _ => {
-                    held.extend(
-                        mo.jobs[task.job_idx + 1..]
-                            .iter()
-                            .map(|j| j.start)
-                            .filter(|r| !r.is_off_chip_origin()),
-                    );
-                    held.extend(task.arrived.iter().copied());
-                    if tj != ti {
-                        if let Some(r) = task.physical() {
-                            held.push(r);
-                        }
+    /// The routed task `ti`'s action from `sensed`, or `None` when its
+    /// router has no move.
+    fn ask_router(&mut self, ti: usize, sensed: Rect) -> Option<Action> {
+        let task = &mut self.tasks[ti];
+        let health = self.exec.chip.health_field();
+        let router: &mut dyn Router = match task.detour.as_mut() {
+            Some(detour) => detour,
+            None => self.pool.router(task.slot),
+        };
+        if self.cfg.is_fleet() {
+            let mut boxes = self.reservations.boxes_excluding(task.mo);
+            boxes.extend(task.walls.iter().copied());
+            router.set_hazards(&boxes);
+        }
+        match router.next_action(sensed, health) {
+            Some(a) => Some(a),
+            None if !task.walls.is_empty() => {
+                // The escalation wall painted the job into a corner; drop
+                // it and fall back to waiting.
+                task.walls.clear();
+                router.set_hazards(&self.reservations.boxes_excluding(task.mo));
+                router.next_action(sensed, health)
+            }
+            None => None,
+        }
+    }
+
+    /// Fluidic screening: every planned move is checked against the other
+    /// in-flight droplets — peers already screened this cycle by their
+    /// committed next rectangle, the rest by their current one. An
+    /// inadmissible move becomes a hold.
+    fn screen(&mut self) -> Vec<Option<Decision>> {
+        let cfg = self.cfg;
+        let mut decisions: Vec<Option<Decision>> = vec![None; self.tasks.len()];
+        for ti in 0..self.tasks.len() {
+            let Some(action) = self.tasks[ti].planned else {
+                continue;
+            };
+            let Some(from) = self.tasks[ti].belief() else {
+                continue;
+            };
+            let commanded = action.apply(from);
+            let mut blocker: Option<Rect> = None;
+            if cfg.constraints.is_enabled() {
+                for (tj, peer) in self.tasks.iter().enumerate() {
+                    if tj == ti {
+                        continue;
+                    }
+                    let Some(peer_cur) = peer.physical() else {
+                        continue;
+                    };
+                    let peer_next = match decisions[tj] {
+                        Some(Decision::Move { commanded, .. }) => Some(commanded),
+                        Some(Decision::Hold) => Some(peer_cur),
+                        None => None,
+                    };
+                    if !cfg
+                        .constraints
+                        .admissible_against(commanded, peer_cur, peer_next)
+                    {
+                        blocker = Some(peer_cur);
+                        break;
                     }
                 }
+            }
+            let Some(block) = blocker else {
+                decisions[ti] = Some(Decision::Move { action, commanded });
+                continue;
+            };
+            decisions[ti] = Some(Decision::Hold);
+            self.stall_cycles += 1;
+            let goal = self.ops()[self.tasks[ti].mo].jobs[self.tasks[ti].job_idx].goal;
+            let task = &mut self.tasks[ti];
+            task.stalled_for += 1;
+            if cfg.is_fleet() && task.stalled_for >= cfg.stall_patience && task.walls.is_empty() {
+                // Patience exhausted: harden the blocker's current
+                // footprint into a wall (unless that would wall off our
+                // own goal) and let the digest shift force a detour
+                // re-synthesis.
+                let wall = block.expand(cfg.constraints.ring().max(0));
+                if !wall.intersects(goal) {
+                    task.walls.push(HazardBox::wall(wall));
+                }
+            }
+        }
+        decisions
+    }
+
+    /// Applies one cycle: the union of every commanded move, every hold,
+    /// every task's parked droplets and every resting droplet.
+    fn actuate(&mut self, decisions: &[Option<Decision>]) {
+        let mut pattern = Grid::new(self.exec.chip.dims(), false);
+        for (task, decision) in self.tasks.iter().zip(decisions) {
+            match decision {
+                Some(Decision::Move { commanded, .. }) => {
+                    pattern.fill_rect(*commanded, true);
+                }
+                Some(Decision::Hold) => {
+                    if let Some(cur) = task.belief() {
+                        pattern.fill_rect(cur, true);
+                    }
+                }
+                None => {}
+            }
+            self.for_each_parked(task, |r| {
+                pattern.fill_rect(r, true);
+            });
+        }
+        for r in &self.exec.resting {
+            pattern.fill_rect(*r, true);
+        }
+        self.exec.apply_cycle(pattern);
+        for task in &mut self.tasks {
+            task.planned = None;
+        }
+    }
+
+    /// Samples every committed mover's physical outcome in MoId order (one
+    /// RNG draw per mover), then closes the sensing loop for routed movers.
+    /// Returns the sensing failures `(task, status, last estimate)`.
+    fn sample_and_sense(
+        &mut self,
+        decisions: &[Option<Decision>],
+    ) -> Vec<(usize, RunStatus, Rect)> {
+        for (ti, decision) in decisions.iter().enumerate() {
+            let Some(Decision::Move { action, .. }) = *decision else {
+                if let Phase::Module { ref mut remaining } = self.tasks[ti].phase {
+                    *remaining -= 1;
+                }
+                continue;
+            };
+            let task = &mut self.tasks[ti];
+            match &mut task.phase {
+                Phase::Dispense { droplet, .. } => *droplet = self.exec.sample(*droplet, action),
+                Phase::Route { actual, sensed } => {
+                    *actual = self.exec.sample(*actual, action);
+                    if !self.cfg.run.sensed_feedback {
+                        // Open loop: the controller is handed ground truth.
+                        *sensed = *actual;
+                    }
+                }
+                Phase::Module { .. } => unreachable!("modules never commit moves"),
+            }
+            if task.stalled_for > 0 {
+                meda_telemetry::global()
+                    .histogram("sim.fleet.stall_streak")
+                    .record(task.stalled_for);
+                task.stalled_for = 0;
+                task.walls.clear();
+            }
+        }
+
+        let mut failed = Vec::new();
+        if !self.cfg.run.sensed_feedback {
+            return failed;
+        }
+        for (ti, decision) in decisions.iter().enumerate() {
+            let Some(Decision::Move { action, .. }) = *decision else {
+                continue;
+            };
+            let Phase::Route { actual, sensed } = self.tasks[ti].phase else {
+                continue;
+            };
+            let held = self.held_for(ti);
+            match self.exec.sense(actual, sensed, action.apply(sensed), &held) {
+                Ok(estimate) => {
+                    self.tasks[ti].phase = Phase::Route {
+                        actual,
+                        sensed: estimate,
+                    }
+                }
+                Err(status) => {
+                    self.tasks[ti].pending = Some(actual);
+                    failed.push((ti, status, sensed));
+                }
+            }
+        }
+        failed
+    }
+
+    /// The droplets task `task` keeps parked: its module outputs, or its
+    /// later jobs' starting droplets and its arrived partners.
+    fn for_each_parked(&self, task: &Task, mut f: impl FnMut(Rect)) {
+        let mo = &self.ops()[task.mo];
+        if let Phase::Module { .. } = task.phase {
+            mo.outputs.iter().copied().for_each(f);
+            return;
+        }
+        for start in mo.jobs[task.job_idx + 1..].iter().map(|j| j.start) {
+            if !start.is_off_chip_origin() {
+                f(start);
+            }
+        }
+        task.arrived.iter().copied().for_each(f);
+    }
+
+    /// Everything on the chip except task `ti`'s own moving droplet — the
+    /// hold set its sensing subtraction uses. In serial mode: resting
+    /// droplets, later job starts and arrived partners.
+    fn held_for(&self, ti: usize) -> Vec<Rect> {
+        let mut held = self.exec.resting.clone();
+        for (tj, task) in self.tasks.iter().enumerate() {
+            self.for_each_parked(task, |r| held.push(r));
+            if tj != ti {
+                held.extend(task.physical());
             }
         }
         held
     }
 
-    /// Handles a mover's routing failure: in supervised mode the operation
-    /// is aborted in place (task removed, returns `None`); otherwise the
-    /// status bubbles up to abort the run (`Some(status)`).
-    #[allow(clippy::too_many_arguments)]
-    fn mover_failure(
-        &self,
-        ti: usize,
-        status: RunStatus,
-        tasks: &mut Vec<Task>,
-        failures: &mut Vec<(MoId, RunStatus)>,
-        failed_mask: &mut [bool],
-        free_slots: &mut Vec<usize>,
-        reservations: &mut CorridorReservations,
-        release: &impl Fn(&Task, &mut Vec<usize>, &mut CorridorReservations),
-    ) -> Option<RunStatus> {
-        if self.config.continue_on_failure && status != RunStatus::CycleLimit {
-            let task = tasks.remove(ti);
-            failures.push((task.mo, status));
-            failed_mask[task.mo] = true;
-            release(&task, free_slots, reservations);
-            None
-        } else {
-            Some(status)
+    /// Releases one task's fleet footprint (slot + corridor).
+    fn release(&mut self, task: &Task) {
+        self.free_slots.push(task.slot);
+        self.free_slots.sort_unstable_by(|a, b| b.cmp(a)); // pop() yields the lowest
+        self.reservations.release(task.mo);
+    }
+
+    fn record_failure(&mut self, ti: usize, status: RunStatus, at: Rect) {
+        let task = &self.tasks[ti];
+        let jobs = self.ops()[task.mo].jobs.len();
+        self.failures.push(MoFailure {
+            mo: task.mo,
+            job: task.job_idx.min(jobs.saturating_sub(1)),
+            status,
+            last_position: at,
+            retries: task.retries,
+        });
+    }
+
+    /// The failure policy. Task `ti` failed with `status` at last estimate
+    /// `at`. Without a ladder the run ends. With one, a routed job climbs
+    /// re-sense → re-synthesize with a widened corridor → detour through a
+    /// fresh [`RecoveryRouter`] while its retries last; then the operation
+    /// is relocated onto spare electrodes while its reconfiguration budget
+    /// lasts; then it is aborted and its dependents skipped. A cycle-budget
+    /// failure is never retried. Returns whether the task is still active,
+    /// or `Err` when the run ends.
+    fn fail(&mut self, ti: usize, mut status: RunStatus, mut at: Rect) -> Result<bool, RunStatus> {
+        loop {
+            if status == RunStatus::Stalled {
+                meda_telemetry::global().add("sim.supervisor.watchdog_fires", 1);
+            }
+            let Some(ladder) = self.cfg.ladder else {
+                self.record_failure(ti, status, at);
+                return Err(status);
+            };
+            let mo = self.tasks[ti].mo;
+            let job = self.ops()[mo].jobs.get(self.tasks[ti].job_idx).copied();
+            if let Some(job) = job.filter(|j| !j.is_dispense() && status != RunStatus::CycleLimit) {
+                if self.tasks[ti].retries < ladder.retry_budget {
+                    self.tasks[ti].retries += 1;
+                    let retries = self.tasks[ti].retries;
+                    let held = self.held_for(ti);
+                    let actual = self.tasks[ti].pending.unwrap_or(at);
+                    match self.exec.resense(actual, at, &held) {
+                        Some(estimate) => {
+                            let chip_bounds = self.exec.chip.dims().bounds();
+                            let previous = self.tasks[ti].attempt.bounds;
+                            // Rung 2 on: widening the corridor changes the
+                            // synthesis query, so strategy-backed routers
+                            // re-synthesize from the refreshed health
+                            // matrix with more room to detour.
+                            let widened = previous
+                                .expand(2)
+                                .intersection(chip_bounds)
+                                .unwrap_or(chip_bounds);
+                            let bounds = match retries {
+                                1 => {
+                                    self.rungs.resense += 1;
+                                    previous
+                                }
+                                2 => {
+                                    self.rungs.resynth += 1;
+                                    widened
+                                }
+                                _ => {
+                                    self.rungs.detour += 1;
+                                    widened
+                                }
+                            };
+                            self.tasks[ti].detour =
+                                (retries >= 3).then(|| RecoveryRouter::new(ladder.detour_patience));
+                            let attempt = RoutingJob::new(
+                                estimate,
+                                job.goal,
+                                bounds.union(estimate).union(job.goal),
+                            );
+                            match self.start_attempt(ti, attempt) {
+                                Ok(()) => return Ok(true),
+                                Err(next) => {
+                                    (status, at) = (next, attempt.start);
+                                    continue;
+                                }
+                            }
+                        }
+                        // Nothing left on the sensors to retry from.
+                        None => status = RunStatus::DropletLost,
+                    }
+                }
+            }
+
+            if status != RunStatus::CycleLimit
+                && self.reconfigs_left[mo] > 0
+                && self.reconfigure(ti, at)
+            {
+                self.reconfigs_left[mo] -= 1;
+                self.rungs.reconfig += 1;
+                let task = &mut self.tasks[ti];
+                task.rung = Rung::Reconfig;
+                task.job_idx = 0;
+                task.arrived.clear();
+                match self.start_job(ti) {
+                    Ok(()) => return Ok(true),
+                    Err(next) => {
+                        (status, at) = (next, self.tasks[ti].attempt.start);
+                        continue;
+                    }
+                }
+            }
+
+            self.record_failure(ti, status, at);
+            let task = self.tasks.remove(ti);
+            self.release(&task);
+            if status == RunStatus::CycleLimit {
+                return Err(status);
+            }
+            self.failed_mask[mo] = true;
+            self.rungs.aborted_ops += 1;
+            return Ok(false);
         }
+    }
+
+    /// The reconfiguration rung for task `ti` (last estimate `at`); see
+    /// [`reconfigure`].
+    fn reconfigure(&mut self, ti: usize, at: Rect) -> bool {
+        let held = self.held_for(ti);
+        let task = &mut self.tasks[ti];
+        reconfigure(
+            &mut self.exec,
+            self.plan,
+            &mut self.working,
+            task.mo,
+            task.job_idx,
+            &task.arrived,
+            at,
+            &held,
+            &mut task.pending,
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        BaselineRouter, BioassayRunner, DegradationConfig, FifoScheduler, HealthAwareScheduler,
-    };
+    use crate::{BaselineRouter, DegradationConfig, FifoScheduler, HealthAwareScheduler};
     use meda_bioassay::{benchmarks, RjHelper};
     use meda_grid::ChipDims;
     use meda_rng::{SeedableRng, StdRng};
 
     fn plan(sg: &meda_bioassay::SequencingGraph) -> BioassayPlan {
         RjHelper::new(ChipDims::PAPER).plan(sg).unwrap()
-    }
-
-    fn fingerprint(
-        run: impl FnOnce(&mut StdRng, &mut Biochip) -> (u64, RunStatus),
-    ) -> (u64, RunStatus, u64, u64) {
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
-        let (cycles, status) = run(&mut rng, &mut chip);
-        (cycles, status, chip.total_actuations(), rng.gen::<u64>())
-    }
-
-    #[test]
-    fn serial_fleet_is_bit_identical_to_the_serial_engine() {
-        let p = plan(&benchmarks::master_mix());
-        let serial = fingerprint(|rng, chip| {
-            let mut router = BaselineRouter::new();
-            let o = BioassayRunner::new(RunConfig::default()).run(&p, chip, &mut router, rng);
-            (o.cycles, o.status)
-        });
-        let fleet = fingerprint(|rng, chip| {
-            let mut pool = ClonePool::new(BaselineRouter::new());
-            let o = FleetRunner::new(FleetConfig::serial(RunConfig::default())).run(
-                &p,
-                chip,
-                &mut pool,
-                &mut FifoScheduler::new(),
-                &FaultPlan::none(),
-                rng,
-            );
-            (o.cycles, o.status)
-        });
-        assert_eq!(serial, fleet, "serial fleet must replay the serial engine");
-    }
-
-    #[test]
-    fn serial_fleet_matches_with_the_health_aware_scheduler() {
-        let p = plan(&benchmarks::multiplex_invitro((4, 4)));
-        let serial = fingerprint(|rng, chip| {
-            let mut router = BaselineRouter::new();
-            let o = BioassayRunner::new(RunConfig::default()).run_with_scheduler(
-                &p,
-                chip,
-                &mut router,
-                &mut HealthAwareScheduler::new(),
-                rng,
-            );
-            (o.cycles, o.status)
-        });
-        let fleet = fingerprint(|rng, chip| {
-            let mut pool = ClonePool::new(BaselineRouter::new());
-            let o = FleetRunner::new(FleetConfig::serial(RunConfig::default())).run(
-                &p,
-                chip,
-                &mut pool,
-                &mut HealthAwareScheduler::new(),
-                &FaultPlan::none(),
-                rng,
-            );
-            (o.cycles, o.status)
-        });
-        assert_eq!(serial, fleet);
     }
 
     #[test]

@@ -11,18 +11,24 @@
 //! * [`Router`] — the control seam: [`BaselineRouter`] is the
 //!   degradation-unaware shortest-path baseline, [`AdaptiveRouter`] the
 //!   paper's hybrid-scheduled formal-synthesis router (Algorithms 2–3);
-//! * [`BioassayRunner`] — executes a planned bioassay cycle by cycle:
-//!   waiting droplets are held in place (and keep degrading their MCs),
-//!   moving droplets follow the router, outcomes are sampled from **D**;
+//! * [`FleetRunner`] — the one execution loop: executes a planned bioassay
+//!   cycle by cycle with up to [`FleetConfig::max_active`] operations in
+//!   flight; waiting droplets are held in place (and keep degrading their
+//!   MCs), moving droplets follow their router, outcomes are sampled from
+//!   **D**, and failures follow one per-task policy (the watchdog and the
+//!   [`Ladder`]);
+//! * [`BioassayRunner`] — the paper's serial execution: a width-1 fleet
+//!   run over one router that ends at the first failure;
 //! * [`experiment`] — the Fig 15 probability-of-success sweep, the Fig 16
 //!   repeated-trial fault-injection study, and the Fig 3 actuation
 //!   correlation analysis;
-//! * [`Supervisor`] — supervised execution with a per-job retry ladder
-//!   (re-sense → re-synthesize → detour → reconfigure onto spare area →
-//!   abort the operation) and a structured [`FailureReport`] for graceful
-//!   partial completion; [`SupervisorConfig::reconfig_budget`] arms the
-//!   reconfiguration rung, which relocates a failing operation's target
-//!   zone onto healthy spare electrodes via the bioassay placer;
+//! * [`Supervisor`] — supervised execution: a width-1 fleet run whose
+//!   failure policy is the retry ladder (re-sense → re-synthesize → detour
+//!   → reconfigure onto spare area → abort the operation), folded into a
+//!   structured [`FailureReport`] for graceful partial completion;
+//!   [`SupervisorConfig::reconfig_budget`] arms the reconfiguration rung,
+//!   which relocates a failing operation's target zone onto healthy spare
+//!   electrodes via the bioassay placer;
 //! * [`FaultPlan`] — scripted chaos on top of placement-time faults:
 //!   scheduled electrode death (isolated, clustered `2 × 2`, whole-row),
 //!   growing [`DefectFront`]s, intermittent glitches, and stuck sensor
@@ -76,7 +82,7 @@ pub use constraints::{FluidicConstraints, SeparationViolation, ViolationKind};
 pub use engine::{sample_outcome, BioassayRunner, RunConfig, RunOutcome, RunStatus};
 pub use fault::{DefectFront, FaultMode, FaultPlan, IntermittentCell, SuddenDeath};
 pub use fleet::{
-    dependency_exemption, AdaptivePool, ClonePool, FleetConfig, FleetOutcome, FleetRunner,
+    dependency_exemption, AdaptivePool, ClonePool, FleetConfig, FleetOutcome, FleetRunner, Ladder,
     RouterPool,
 };
 pub use meda_cell::StuckBit;

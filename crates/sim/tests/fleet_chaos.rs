@@ -1,26 +1,37 @@
 //! Chaos interplay for the concurrent fleet engine: under the hard-chaos
 //! fault classes (clustered electrode deaths, whole-row loss over an
-//! operation's goal band), the supervised fleet (`continue_on_failure`)
-//! must dominate the plain fleet on completed operations, and the
-//! fluidic-separation audit must stay green even while droplets detour
-//! around freshly dead regions.
+//! operation's goal band), the supervised fleet (the failure [`Ladder`]
+//! with zero retry and reconfiguration budgets: abort the failing
+//! operation, skip its dependents, run on) must dominate the plain fleet
+//! on completed operations, and the fluidic-separation audit must stay
+//! green even while droplets detour around freshly dead regions.
 //!
 //! Why dominance is unconditional here: plain and supervised runs are
-//! configured identically except for the failure policy, so they are
-//! bit-identical up to the moment of the first mover failure. The plain
-//! run freezes its completed count there; the supervised run carries that
-//! same prefix forward and the count only grows. The documented carve-out
-//! (a chaos-stranded droplet squatting on a peer's only detour corridor)
-//! therefore affects *which* extra operations the supervised run salvages
-//! — the give-up ladder ([`FleetConfig::stall_abort`]) eventually fails
-//! the blocked peer too — but never pushes it below the plain run.
+//! configured identically except for the failure policy — both arm the
+//! same per-attempt watchdog, the one give-up detector — so they are
+//! bit-identical up to the moment of the first failure. The plain run
+//! freezes its completed count there; the supervised run carries that
+//! same prefix forward and the count only grows. A chaos-stranded droplet
+//! squatting on a peer's only detour corridor therefore affects *which*
+//! extra operations the supervised run salvages — the watchdog eventually
+//! fails the blocked peer too — but never pushes it below the plain run.
 
 use meda_bioassay::{benchmarks, BioassayPlan, RjHelper};
 use meda_grid::{Cell, ChipDims};
 use meda_rng::{Rng, SeedableRng, StdRng};
 use meda_sim::{
     dependency_exemption, AdaptiveConfig, AdaptivePool, Biochip, DegradationConfig, FaultPlan,
-    FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, RunConfig, SuddenDeath,
+    FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, Ladder, RunConfig, SuddenDeath,
+};
+
+/// Cycles one attempt may burn before the watchdog declares it stalled.
+const WATCHDOG: u64 = 48;
+
+/// The ladder with zero budgets: a failing operation is aborted at once.
+const ABORT_ONLY: Ladder = Ladder {
+    retry_budget: 0,
+    detour_patience: 4,
+    reconfig_budget: 0,
 };
 
 fn plan() -> BioassayPlan {
@@ -54,15 +65,15 @@ fn hard_chaos(seed: u64, p: &BioassayPlan) -> FaultPlan {
     chaos
 }
 
-fn run_fleet(supervised: bool, seed: u64, chaos: &FaultPlan) -> FleetOutcome {
+fn run_fleet(ladder: Option<Ladder>, seed: u64, chaos: &FaultPlan) -> FleetOutcome {
     let run = RunConfig {
         k_max: 1_200,
         ..RunConfig::default()
     };
     let cfg = FleetConfig {
-        continue_on_failure: supervised,
         record_movers: true,
-        stall_abort: 24,
+        attempt_cycles: Some(WATCHDOG),
+        ladder,
         ..FleetConfig::concurrent(4, run)
     };
     let mut rng = StdRng::seed_from_u64(seed);
@@ -91,8 +102,8 @@ fn supervised_fleet_dominates_plain_fleet_under_hard_chaos() {
     let mut strict = 0usize;
     for seed in 0..12u64 {
         let chaos = hard_chaos(0xC4A0 + seed, &p);
-        let plain = run_fleet(false, seed, &chaos);
-        let supervised = run_fleet(true, seed, &chaos);
+        let plain = run_fleet(None, seed, &chaos);
+        let supervised = run_fleet(Some(ABORT_ONLY), seed, &chaos);
 
         // Separation must hold on the supervised run even while the
         // survivors thread around dead regions and failed peers.
@@ -140,7 +151,7 @@ fn supervised_fleet_dominates_plain_fleet_under_hard_chaos() {
 }
 
 /// A surgically lethal fault — every row of one chain's mix goal dies at
-/// cycle 3 — aborts that operation via the give-up ladder. The plain fleet
+/// cycle 3 — aborts that operation once the watchdog fires. The plain fleet
 /// gives up wholesale; the supervised fleet records the failure, skips the
 /// dependents transitively, and still completes the untouched chain.
 #[test]
@@ -160,8 +171,8 @@ fn supervised_fleet_completes_surviving_branches_after_a_lethal_row_loss() {
         }
     }
 
-    let plain = run_fleet(false, 21, &chaos);
-    let supervised = run_fleet(true, 21, &chaos);
+    let plain = run_fleet(None, 21, &chaos);
+    let supervised = run_fleet(Some(ABORT_ONLY), 21, &chaos);
 
     assert!(
         !plain.is_success(),
@@ -190,4 +201,29 @@ fn supervised_fleet_completes_surviving_branches_after_a_lethal_row_loss() {
         .constraints
         .audit_exempting(log, dependency_exemption(&p));
     assert!(v.is_none(), "separation violated: {v:?}");
+}
+
+/// The default ladder (retry budget 3) at N=4: retries resume from where
+/// the droplet really is and the detour rung routes around dead regions,
+/// all while the separation audit stays clean and nothing is lost against
+/// the plain fleet.
+#[test]
+fn default_ladder_runs_at_width_four() {
+    let p = plan();
+    let chaos = hard_chaos(0xC4A0, &p);
+    let plain = run_fleet(None, 0, &chaos);
+    let supervised = run_fleet(Some(Ladder::default()), 0, &chaos);
+    let log = supervised.movers.as_ref().expect("recording enabled");
+    let v = FleetConfig::default()
+        .constraints
+        .audit_exempting(log, dependency_exemption(&p));
+    assert!(v.is_none(), "separation violated: {v:?}");
+    assert!(
+        supervised.completed_ops >= plain.completed_ops,
+        "laddered fleet completed {}/{} but plain completed {}/{}",
+        supervised.completed_ops,
+        supervised.total_ops,
+        plain.completed_ops,
+        plain.total_ops,
+    );
 }

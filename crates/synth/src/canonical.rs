@@ -573,28 +573,6 @@ pub fn materialize(
     RoutingStrategy::from_parts(mdp, choice, values, canon.query())
 }
 
-/// The inverse of [`materialize`]: projects an original-frame strategy
-/// into the canonical frame so it can be persisted content-addressed.
-/// `canon_mdp` is the canonical model (from
-/// [`CanonicalJob::build_mdp`]); every canonical state reads its value and
-/// (mapped) action from the original-frame strategy.
-#[must_use]
-pub fn canonicalize_strategy(
-    original: &RoutingStrategy,
-    transform: &JobTransform,
-    canon_mdp: RoutingMdp,
-) -> Option<RoutingStrategy> {
-    let n = canon_mdp.len();
-    let mut values = Vec::with_capacity(n);
-    let mut choice = Vec::with_capacity(n);
-    for i in 0..n {
-        let r = transform.from_canonical_rect(canon_mdp.state(i));
-        values.push(original.value_at(r)?);
-        choice.push(original.decide(r).map(|a| transform.to_canonical_action(a)));
-    }
-    RoutingStrategy::from_parts(canon_mdp, choice, values, original.query())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

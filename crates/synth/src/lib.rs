@@ -58,10 +58,7 @@ mod solver;
 mod strategy;
 
 pub use cache::{CacheStats, PersistentCache, CACHE_SCHEMA};
-pub use canonical::{
-    canonicalize, canonicalize_strategy, materialize, CanonicalJob, CanonicalJobKey, JobTransform,
-    D4,
-};
+pub use canonical::{canonicalize, materialize, CanonicalJob, CanonicalJobKey, JobTransform, D4};
 pub use export::{to_prism_explicit, PrismModel};
 pub use game::{RobustGame, RobustValues};
 pub use horizon::{bounded_reach_probability, HorizonValues};

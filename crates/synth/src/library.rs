@@ -91,16 +91,6 @@ impl StrategyLibrary {
         arc
     }
 
-    /// Drops every entry for the given job geometry (any digest) — used
-    /// when a health change within the job's bounds invalidates the stored
-    /// strategies wholesale.
-    pub fn invalidate_job(&mut self, start: Rect, goal: Rect, bounds: Rect) -> usize {
-        let before = self.entries.len();
-        self.entries
-            .retain(|k, _| !(k.start == start && k.goal == goal && k.bounds == bounds));
-        before - self.entries.len()
-    }
-
     /// Number of stored strategies.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -175,19 +165,5 @@ mod tests {
         lib.insert(key(1), strategy());
         lib.insert(key(1), strategy());
         assert_eq!(lib.len(), 1);
-    }
-
-    #[test]
-    fn invalidate_job_drops_all_digests() {
-        let mut lib = StrategyLibrary::new();
-        lib.insert(key(1), strategy());
-        lib.insert(key(2), strategy());
-        let removed = lib.invalidate_job(
-            Rect::new(1, 1, 2, 2),
-            Rect::new(5, 5, 6, 6),
-            Rect::new(1, 1, 6, 6),
-        );
-        assert_eq!(removed, 2);
-        assert!(lib.is_empty());
     }
 }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, tier-1 build + tests, the meda-check
-# replay corpus, the concurrent-fleet smoke, the synthesis-service smoke,
+# replay corpus, the supervised-run smoke against its recorded output, the
+# concurrent-fleet smoke, the synthesis-service smoke,
 # the end-to-end benchmark smoke with its exact-counter check against the
 # committed ledger, and (unless --quick) the full-mode paper-scale
 # synthesis bench, the full-mode hard-chaos degradation matrix, the
@@ -89,6 +90,20 @@ audit_sound_selftest() {
 }
 # Default smoke budget is small; set MEDA_CHECK_CASES for an extended run.
 check_smoke()   { cargo run --release -- check --smoke; }
+# Supervised-run smoke: a deterministic defect-front chaos run of
+# COVID-PCR, plain and under the failure ladder with the reconfiguration
+# rung, must print exactly the recorded output (run 2 of the supervised
+# pass fires every rung: resense/resynth/detour/reconfig/abort).
+supervise_smoke() {
+  local out=target/supervise_smoke.out
+  {
+    cargo run --release --quiet -- run covid-pcr --chaos=front --severity 0.5 --runs 2
+    cargo run --release --quiet -- run covid-pcr --chaos=front --severity 0.5 --runs 2 \
+      --supervised --reconfig
+  } > "$out"
+  cmp "$out" scripts/supervise_smoke.expected \
+    || { echo "supervise-smoke: output differs from scripts/supervise_smoke.expected" >&2; return 1; }
+}
 # End-to-end concurrent-fleet smoke: N=4 must complete master-mix no slower
 # than serial with a clean fluidic-separation audit (exits nonzero either way).
 fleet_smoke()   { cargo run --release -- fleet --smoke; }
@@ -209,6 +224,7 @@ stage "audit-smoke"    audit_smoke
 stage "audit-sound"    audit_sound
 stage "audit-sound-selftest" audit_sound_selftest
 stage "check-smoke"    check_smoke
+stage "supervise-smoke" supervise_smoke
 stage "fleet-smoke"    fleet_smoke
 stage "serve-smoke"    serve_smoke
 stage "bench-e2e-smoke" bench_e2e_smoke
