@@ -16,14 +16,14 @@
 //! - `{assay}.n{N}.peak_active` — the concurrency the dispatcher actually
 //!   achieved;
 //! - `{assay}.n{N}.serial_vs_concurrent_makespan_dominance` — serial
-//!   cycles / concurrent cycles for N ≥ 2. `bench_compare` fails a
-//!   same-mode run the moment any of these drops below 1.0: concurrent
-//!   routing must strictly beat the serial makespan.
+//!   cycles / concurrent cycles for N ≥ 2.
 //!
-//! In full (non-smoke) mode the bin also self-checks the claims directly —
-//! every cell completes, and every N ≥ 2 dominance ratio is strictly above
-//! 1.0 — and exits nonzero on violation, so CI catches a throughput
-//! regression even before `bench_compare` diffs the committed baseline.
+//! In full (non-smoke) mode the bin self-checks the claims: every cell
+//! completes, every N ≥ 2 dominance ratio is strictly above 1.0 (the
+//! concurrent makespan strictly beats the serial one), and every value
+//! equals the committed `BENCH_makespan.json` exactly
+//! ([`BenchReport::drift`]). It exits nonzero and names the claim or key
+//! on any violation.
 #![forbid(unsafe_code)]
 
 use meda_bench::{banner, header, row, BenchReport};
@@ -164,6 +164,7 @@ fn main() {
     );
 
     let written = report.write(bless).expect("write bench report");
+    violations.extend(report.baseline_drift(bless));
     println!();
     for path in written {
         println!("Wrote {}", path.display());

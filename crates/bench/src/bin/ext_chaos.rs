@@ -25,9 +25,10 @@
 //!
 //! In full (non-smoke) mode the bin also self-checks the blessed claims —
 //! ≥ 2 strict reconfig wins on the clustered and row-loss curves, weakly
-//! monotone supervised degradation on at least 3 classes — and exits
-//! nonzero on violation, so the CI `chaos-full` stage enforces the curve
-//! shape even before `bench_compare` diffs the baseline.
+//! monotone supervised degradation on at least 3 classes — and requires
+//! every value to equal the committed `BENCH_chaos.json` exactly
+//! ([`BenchReport::drift`]). It exits nonzero on any violation, naming
+//! the claim or key, so the CI `chaos-full` stage is the curve's gate.
 //!
 //! [`RunConfig::sensed_feedback`]: meda_sim::RunConfig
 //! [`FaultPlan`]: meda_sim::FaultPlan
@@ -264,6 +265,7 @@ fn main() {
     );
 
     let written = report.write(bless).expect("write bench report");
+    violations.extend(report.baseline_drift(bless));
     println!();
     for path in written {
         println!("Wrote {}", path.display());

@@ -7,10 +7,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod report;
 
-pub use compare::{compare, render, Comparison, DeltaRow, Verdict};
 pub use report::BenchReport;
 
 /// Prints a figure/table banner.

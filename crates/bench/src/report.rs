@@ -1,8 +1,10 @@
-//! The aggregated benchmark schema every bench bin emits, plus the
-//! output-path policy that fixes the baseline-drift hazard: fresh runs go
-//! to `target/bench/BENCH_<name>.json`; the committed repo-root
-//! `BENCH_<name>.json` baselines are only touched under `--bless`
-//! (EXPERIMENTS.md documents the re-bless flow).
+//! The aggregated benchmark schema every bench bin emits, the output-path
+//! policy that fixes the baseline-drift hazard, and the exact baseline
+//! check: fresh runs go to `target/bench/BENCH_<name>.json`; the committed
+//! repo-root `BENCH_<name>.json` baselines are only touched under
+//! `--bless` (EXPERIMENTS.md documents the re-bless flow), and every
+//! full-mode run that does not bless must reproduce each deterministic
+//! baseline value bit for bit.
 
 use std::path::PathBuf;
 
@@ -14,9 +16,10 @@ pub const SCHEMA: &str = "meda-bench/1";
 /// A flat named-metric benchmark result.
 ///
 /// Metric naming convention: `<cell>.<measure>` with the unit as the
-/// suffix — names ending `_ms` / `_ns` are wall-clock timings (gated with
-/// a relative threshold by [`crate::compare`]); everything else is treated
-/// as a deterministic count (any drift is reported).
+/// suffix — names ending `_ms` / `_ns` are wall-clock timings and names
+/// ending `_speedup` are ratios of timings; these are reported, never
+/// gated. Everything else is deterministic, and [`BenchReport::drift`]
+/// fails on any change to it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// Benchmark name; the file stem is `BENCH_<benchmark>.json`.
@@ -155,6 +158,69 @@ impl BenchReport {
         }
         Ok(written)
     }
+
+    /// The exact check of a fresh report against its baseline: one line
+    /// per drifted key, empty when nothing drifted.
+    ///
+    /// Both reports must share a mode and name the same metrics (a key
+    /// missing from the fresh run or present only in it is drift), and
+    /// every metric that is not wall-clock (a name not ending `_ms`, `_ns`
+    /// or `_speedup`) must equal the baseline value bit for bit.
+    #[must_use]
+    pub fn drift(&self, baseline: &BenchReport) -> Vec<String> {
+        let mut drift = Vec::new();
+        if baseline.mode != self.mode {
+            drift.push(format!(
+                "mode: baseline {:?}, fresh {:?}",
+                baseline.mode, self.mode
+            ));
+        }
+        for (name, base) in &baseline.metrics {
+            match self.metric(name) {
+                None => drift.push(format!(
+                    "{name}: baseline {base}, missing from the fresh run"
+                )),
+                Some(v) if !is_wall_clock(name) && v.to_bits() != base.to_bits() => {
+                    drift.push(format!("{name}: baseline {base}, fresh {v}"));
+                }
+                Some(_) => {}
+            }
+        }
+        for (name, v) in &self.metrics {
+            if baseline.metric(name).is_none() {
+                drift.push(format!("{name}: fresh {v}, missing from the baseline"));
+            }
+        }
+        drift
+    }
+
+    /// Runs [`BenchReport::drift`] against the committed baseline
+    /// ([`BenchReport::baseline_path`]) on a full-mode run, naming the
+    /// baseline file in each line. A `bless` run has just rewritten the
+    /// baseline, and a smoke run is not comparable with the full-mode
+    /// baselines, so both skip the check (empty result). An unreadable
+    /// baseline is reported as one drift line.
+    #[must_use]
+    pub fn baseline_drift(&self, bless: bool) -> Vec<String> {
+        if bless || self.mode != "full" {
+            return Vec::new();
+        }
+        let path = Self::baseline_path(&self.benchmark);
+        let drift = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| Self::parse(&text))
+            .map_or_else(|e| vec![e], |baseline| self.drift(&baseline));
+        drift
+            .into_iter()
+            .map(|d| format!("{} drift: {d}", path.display()))
+            .collect()
+    }
+}
+
+/// Whether a metric is a wall-clock value, which the exact check skips:
+/// a timing (`_ms`, `_ns`) or a ratio of timings (`_speedup`).
+fn is_wall_clock(name: &str) -> bool {
+    name.ends_with("_ms") || name.ends_with("_ns") || name.ends_with("_speedup")
 }
 
 #[cfg(test)]
@@ -177,5 +243,92 @@ mod tests {
         let err = BenchReport::parse("{\"benchmark\":\"synthesis\",\"cells\":[]}")
             .expect_err("no schema tag");
         assert!(err.contains("re-bless"), "{err}");
+    }
+
+    fn full(metrics: &[(&str, f64)]) -> BenchReport {
+        let mut r = BenchReport::new("demo", "full");
+        for &(n, v) in metrics {
+            r.push(n, v);
+        }
+        r
+    }
+
+    const BASE: &[(&str, f64)] = &[
+        ("c.states", 64.0),
+        ("c.dominance", 1.026_881_720_430_107_5),
+        ("c.solve_ms", 1.5),
+        ("c.cold_p50_ns", 1200.0),
+        ("c.construct_solve_speedup", 8.06),
+    ];
+
+    #[test]
+    fn an_identical_report_passes() {
+        let base = full(BASE);
+        assert!(full(BASE).drift(&base).is_empty());
+        // Through the written document too: what the baseline file holds.
+        let reparsed = BenchReport::parse(&base.to_json()).expect("parse");
+        assert!(full(BASE).drift(&reparsed).is_empty());
+    }
+
+    #[test]
+    fn a_count_off_by_one_fails_and_names_the_key() {
+        let mut fresh = full(BASE);
+        fresh.metrics[0].1 = 65.0;
+        let drift = fresh.drift(&full(BASE));
+        assert_eq!(drift, ["c.states: baseline 64, fresh 65"]);
+    }
+
+    #[test]
+    fn a_ratio_off_in_its_last_bit_fails() {
+        let mut fresh = full(BASE);
+        fresh.metrics[1].1 = f64::from_bits(fresh.metrics[1].1.to_bits() + 1);
+        let drift = fresh.drift(&full(BASE));
+        assert_eq!(drift.len(), 1);
+        assert!(drift[0].starts_with("c.dominance:"), "{drift:?}");
+    }
+
+    #[test]
+    fn missing_and_fresh_only_keys_fail() {
+        let base = full(BASE);
+        let missing = full(&BASE[1..]);
+        assert_eq!(
+            missing.drift(&base),
+            ["c.states: baseline 64, missing from the fresh run"]
+        );
+        let mut extra = full(BASE);
+        extra.push("c.choices", 9.0);
+        assert_eq!(
+            extra.drift(&base),
+            ["c.choices: fresh 9, missing from the baseline"]
+        );
+    }
+
+    #[test]
+    fn wall_clock_values_may_change() {
+        let mut fresh = full(BASE);
+        fresh.metrics[2].1 = 99.0;
+        fresh.metrics[3].1 = 1.0;
+        fresh.metrics[4].1 = 12.5;
+        assert!(fresh.drift(&full(BASE)).is_empty());
+    }
+
+    #[test]
+    fn only_full_runs_that_do_not_bless_are_checked() {
+        // No BENCH_demo.json exists, so a run that is checked reports it.
+        let missing = full(BASE).baseline_drift(false);
+        assert_eq!(missing.len(), 1);
+        assert!(
+            missing[0].starts_with("BENCH_demo.json drift:"),
+            "{missing:?}"
+        );
+        assert!(full(BASE).baseline_drift(true).is_empty());
+        let mut smoke = full(BASE);
+        smoke.mode = "smoke".to_string();
+        assert!(smoke.baseline_drift(false).is_empty());
+        // Checked against a baseline of another mode, a run drifts.
+        assert_eq!(
+            smoke.drift(&full(BASE)),
+            [r#"mode: baseline "full", fresh "smoke""#]
+        );
     }
 }

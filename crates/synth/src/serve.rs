@@ -137,7 +137,21 @@ fn parse_rect_arr(j: &Json) -> Result<Rect, String> {
 ///
 /// Returns a human-readable reason for malformed requests.
 pub fn parse_request(line: &str) -> Result<ServeRequest, String> {
-    let doc = Json::parse(line)?;
+    request_from(&Json::parse(line)?)
+}
+
+/// Parses one request line, or renders its error reply. The reply keeps
+/// the request's id whenever the line is JSON with a string `id`.
+fn parse_or_reply(line: &str) -> Result<ServeRequest, String> {
+    let doc =
+        Json::parse(line).map_err(|reason| error_response("", &format!("parse: {reason}")))?;
+    request_from(&doc).map_err(|reason| {
+        let id = doc.get("id").and_then(Json::as_str).unwrap_or_default();
+        error_response(id, &format!("parse: {reason}"))
+    })
+}
+
+fn request_from(doc: &Json) -> Result<ServeRequest, String> {
     let id = doc
         .get("id")
         .and_then(Json::as_str)
@@ -384,12 +398,12 @@ impl ServeEngine {
 
     /// Handles one request line, returning one response line.
     pub fn handle(&mut self, line: &str) -> String {
-        match parse_request(line) {
+        match parse_or_reply(line) {
             Ok(request) => {
                 let prepared = canonicalize_request(request, 0);
                 resolve(&mut self.cache, &prepared)
             }
-            Err(reason) => error_response("", &format!("parse: {reason}")),
+            Err(reply) => reply,
         }
     }
 
@@ -455,12 +469,12 @@ pub fn run_batch(
         let i = responses.len();
         responses.push(match line {
             Ok(line) if line.trim().is_empty() => Some(String::new()),
-            Ok(line) => match parse_request(line) {
+            Ok(line) => match parse_or_reply(line) {
                 Ok(req) => {
                     prepared.push(canonicalize_request(req, i));
                     None
                 }
-                Err(reason) => Some(error_response("", &format!("parse: {reason}"))),
+                Err(reply) => Some(reply),
             },
             Err(reason) => Some(error_response("", &reason)),
         });
@@ -755,6 +769,28 @@ mod tests {
         let out = batch(&lines, &dir, 1);
         assert!(out.responses[0].contains("\"error\""));
         assert!(out.responses[1].contains("infeasible"));
+    }
+
+    #[test]
+    fn error_replies_keep_a_well_formed_id() {
+        let dir = temp_dir("error-id");
+        let lines = vec![
+            r#"{"id":"a","bounds":[1,1,10,6],"start":[1,1,1,1],"goal":[9,5,9,5],"force":-1}"#
+                .to_string(),
+            r#"{"id":7,"bounds":[1,1,10,6]}"#.to_string(),
+            "not json".to_string(),
+        ];
+        let expected = [
+            r#"{"id":"a","status":"error","error":"parse: force -1 outside [0, 1]"}"#,
+            r#"{"id":"","status":"error","error":"parse: missing string field id"}"#,
+        ];
+        let out = batch(&lines, &dir, 1);
+        assert_eq!(out.responses[..2], expected);
+        assert!(out.responses[2].starts_with(r#"{"id":"","status":"error""#));
+        let mut engine = ServeEngine::open(&dir, 8).expect("engine");
+        for (line, reply) in lines.iter().zip(&out.responses) {
+            assert_eq!(&engine.handle(line), reply, "stream and batch agree");
+        }
     }
 
     #[test]
