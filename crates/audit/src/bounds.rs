@@ -1,5 +1,6 @@
-//! Certified `[lo, hi]` value bounds by interval iteration over the
-//! maximal-end-component quotient (DESIGN.md §14).
+//! Certified `[lo, hi]` value bounds (DESIGN.md §14): interval iteration
+//! over the maximal-end-component quotient for `Pmax`, and the shipped
+//! strategy's exact value for `Rmin`.
 //!
 //! The Bellman-residual certificate ([`crate::bellman_certificate`]) only
 //! proves a vector is an ε-fixed-point — it says **nothing** about the
@@ -16,15 +17,21 @@
 //!   self-loops), and on the quotient the operator has a **unique** fixed
 //!   point — so the 0-seeded ascent and 1-seeded descent converge to the
 //!   same limit, squeezing `v*` inside `[lo, hi]`.
-//! - `Rmin`: after the `Prob1` double fixed point identifies the states
-//!   with an almost-surely-reaching (proper) strategy, its witness policy
-//!   is evaluated *exactly* ([`crate::eval`]) to seed the descent with a
-//!   finite over-approximation (∞-seeded iteration can stall on cyclic
-//!   proper policies), while the ascent starts from 0; unit step costs
-//!   make every improper policy infinite, so the restricted operator has
-//!   a unique fixed point and both iterates converge to it.
+//!   Iteration stops when `hi − lo ≤ 2ε` everywhere.
+//! - `Rmin`: no iteration. [`strategy_bounds`] reads the certificate off
+//!   the exact value `v_π` of the strategy the solver ships
+//!   ([`crate::evaluate_strategy`]): `[v_π·(1 − δ), v_π·(1 + δ)]`, `∞`
+//!   kept as `∞`. Unit step costs make the `Prob1`-restricted operator's
+//!   fixed point unique, so the two one-backup checks of [`verify_bounds`]
+//!   decide it: `hi` is a pre-fixed point because `v_π` solves the
+//!   strategy's own equations, and `lo` a post-fixed point only if no
+//!   single-step deviation improves on `v_π` — that is, the strategy is
+//!   optimal to within the verification slack. The one claim the backups
+//!   cannot refute, `[∞, ∞]` on a loop inside `Prob1` whose every choice
+//!   re-enters it, is caught by [`crate::audit_strategy_value`]. The
+//!   solver's values are never read.
 //!
-//! Iteration stops when `hi − lo ≤ 2ε` everywhere, so reporting the
+//! Either way the certified width is at most `2ε`, so reporting the
 //! midpoint is within `ε` of the truth — a claim about the *value*, not
 //! the trajectory. [`verify_bounds`] re-checks a claimed certificate from
 //! scratch via one monotone backup (Knaster–Tarski: a post-fixed point
@@ -34,41 +41,44 @@
 
 use meda_core::{mec_decomposition, Action, Dir, MecDecomposition, NO_MEC};
 
-use crate::eval::evaluate_pick_exact;
-use crate::{ModelArtifact, ValueKind, Violation};
+use crate::{ModelArtifact, StrategyEvaluation, ValueKind, Violation};
 
 /// Absolute slack used when re-verifying a certificate's inequalities:
 /// covers f64 rounding of the monotone backups without admitting any
 /// mutation the corpus generates (those are ≥ 1e-3 off).
 pub const BOUNDS_SLACK: f64 = 1e-7;
 
-/// Iteration budget for [`compute_bounds`] (matches the solver's default).
+/// Iteration budget for [`pmax_bounds`] (matches the solver's default).
 pub const BOUNDS_MAX_ITERATIONS: usize = 100_000;
 
+/// Relative half-width of a [`strategy_bounds`] interval: `1e-9`,
+/// narrowed to `ε / max v_π` on fields where that is smaller, so that the
+/// widest interval stays at `2ε`.
+const STRATEGY_HALF_WIDTH: f64 = 1e-9;
+
 /// Sound per-state value bounds: `lo[i] ≤ v*(i) ≤ hi[i]` (up to f64
-/// rounding of the monotone backups), produced by [`compute_bounds`] and
-/// re-checkable from scratch by [`verify_bounds`].
+/// rounding of the monotone backups), produced by [`pmax_bounds`] or
+/// [`strategy_bounds`] and re-checkable from scratch by [`verify_bounds`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundsCertificate {
     /// Operator the bounds certify.
     pub kind: ValueKind,
-    /// Target half-width: iteration stops at `hi − lo ≤ 2ε`.
+    /// Target half-width: the certificate claims `hi − lo ≤ 2ε`.
     pub epsilon: f64,
-    /// Lower bound per state (from-below iterate).
+    /// Lower bound per state.
     pub lo: Vec<f64>,
-    /// Upper bound per state (from-above iterate; `∞` for `Rmin` states
-    /// with no almost-surely-reaching strategy).
+    /// Upper bound per state (`∞` for `Rmin` states the strategy never
+    /// takes to the goal).
     pub hi: Vec<f64>,
-    /// Sweeps performed (each sweep advances both iterates once).
+    /// Interval-iteration sweeps performed (each sweep advances both
+    /// iterates once); 0 for a [`strategy_bounds`] certificate.
     pub iterations: usize,
     /// Whether the width target was met within the iteration budget.
     pub converged: bool,
     /// Largest finite `hi − lo` over the states at termination.
     pub width: f64,
-    /// Number of maximal end components of the model.
+    /// Number of maximal end components of the model (`Pmax` only).
     pub mecs: usize,
-    /// Size of the largest maximal end component (0 when none).
-    pub largest_mec: usize,
 }
 
 impl BoundsCertificate {
@@ -97,37 +107,34 @@ impl BoundsCertificate {
     }
 }
 
-/// Computes a sound [`BoundsCertificate`] for the artifact by interval
-/// iteration (see the module docs for the construction per operator).
-///
-/// The artifact must have passed [`crate::audit_model`] — the qualitative
-/// analyses and sweeps index the CSR arrays directly.
+/// The `Rmin` certificate of a strategy's exact evaluation:
+/// `[v·(1 − δ), v·(1 + δ)]` per state, `∞` kept as `∞`, with
+/// `δ = min(1e-9, ε / max finite v)`. It passes [`verify_bounds`] only if
+/// the strategy is optimal (see the module docs); nothing here checks
+/// that.
 #[must_use]
-pub fn compute_bounds(
-    art: &ModelArtifact,
-    kind: ValueKind,
-    epsilon: f64,
-    max_iterations: usize,
-) -> BoundsCertificate {
-    let telemetry = meda_telemetry::global();
-    let _span = telemetry.span("audit.bounds");
-    let mec = {
-        let _mec_span = telemetry.span("audit.bounds.mec");
-        mec_decomposition(
-            &art.state_choice_start,
-            &art.choice_branch_start,
-            &art.branch_target,
-        )
-    };
-    telemetry.add("audit.bounds.mecs", mec.mecs() as u64);
-    let mut cert = match kind {
-        ValueKind::Reachability => pmax_bounds(art, &mec, epsilon, max_iterations),
-        ValueKind::ExpectedCycles => rmin_bounds(art, epsilon, max_iterations),
-    };
-    cert.mecs = mec.mecs();
-    cert.largest_mec = mec.largest();
-    telemetry.add("audit.bounds.iterations", cert.iterations as u64);
-    cert
+pub fn strategy_bounds(eval: &StrategyEvaluation, epsilon: f64) -> BoundsCertificate {
+    let _span = meda_telemetry::global().span("audit.bounds");
+    let finite = || eval.values.iter().filter(|v| v.is_finite());
+    let delta = STRATEGY_HALF_WIDTH.min(epsilon / finite().fold(0.0_f64, |a, &v| a.max(v)));
+    let (lo, hi): (Vec<f64>, Vec<f64>) = eval
+        .values
+        .iter()
+        .map(|&v| (v * (1.0 - delta), v * (1.0 + delta)))
+        .unzip();
+    let width = finite().fold(0.0_f64, |a, &v| {
+        a.max(v * (1.0 + delta) - v * (1.0 - delta))
+    });
+    BoundsCertificate {
+        kind: eval.kind,
+        epsilon,
+        lo,
+        hi,
+        iterations: 0,
+        converged: width <= 2.0 * epsilon,
+        width,
+        mecs: 0,
+    }
 }
 
 /// Re-derives every soundness obligation of a claimed certificate from
@@ -484,13 +491,25 @@ fn pmax_quotient_backup(
     (best_lo, best_hi)
 }
 
-fn pmax_bounds(
-    art: &ModelArtifact,
-    mec: &MecDecomposition,
-    epsilon: f64,
-    max_iterations: usize,
-) -> BoundsCertificate {
-    let quot = pmax_quotient(art, mec);
+/// Computes a sound `Pmax` [`BoundsCertificate`] for the artifact by
+/// interval iteration on the MEC quotient (see the module docs).
+///
+/// The artifact must have passed [`crate::audit_model`] — the qualitative
+/// analyses and sweeps index the CSR arrays directly.
+#[must_use]
+pub fn pmax_bounds(art: &ModelArtifact, epsilon: f64, max_iterations: usize) -> BoundsCertificate {
+    let telemetry = meda_telemetry::global();
+    let _span = telemetry.span("audit.bounds");
+    let mec = {
+        let _mec_span = telemetry.span("audit.bounds.mec");
+        mec_decomposition(
+            &art.state_choice_start,
+            &art.choice_branch_start,
+            &art.branch_target,
+        )
+    };
+    telemetry.add("audit.bounds.mecs", mec.mecs() as u64);
+    let quot = pmax_quotient(art, &mec);
     let qn = quot.pin.len();
     let mut lo: Vec<f64> = quot.pin.iter().map(|p| p.unwrap_or(0.0)).collect();
     let mut hi: Vec<f64> = quot.pin.iter().map(|p| p.unwrap_or(1.0)).collect();
@@ -510,7 +529,7 @@ fn pmax_bounds(
             if quot.pin[q].is_some() {
                 continue;
             }
-            let (vl, vh) = pmax_quotient_backup(art, mec, &quot, &lo, &hi, q);
+            let (vl, vh) = pmax_quotient_backup(art, &mec, &quot, &lo, &hi, q);
             // Enforce monotone trajectories (sound: both new values are
             // valid bounds, and so were the old ones).
             lo[q] = lo[q].max(vl);
@@ -522,7 +541,8 @@ fn pmax_bounds(
         }
     }
     let unpinned = quot.pin.iter().filter(|p| p.is_none()).count();
-    meda_telemetry::global().add("audit.bounds.backups", (iterations * unpinned) as u64);
+    telemetry.add("audit.bounds.backups", (iterations * unpinned) as u64);
+    telemetry.add("audit.bounds.iterations", iterations as u64);
     let lo_states: Vec<f64> = quot.q_of.iter().map(|&q| lo[q as usize]).collect();
     let hi_states: Vec<f64> = quot.q_of.iter().map(|&q| hi[q as usize]).collect();
     BoundsCertificate {
@@ -533,8 +553,7 @@ fn pmax_bounds(
         iterations,
         converged,
         width,
-        mecs: 0,
-        largest_mec: 0,
+        mecs: mec.mecs(),
     }
 }
 
@@ -618,7 +637,7 @@ fn verify_pmax(art: &ModelArtifact, cert: &BoundsCertificate, violations: &mut V
 }
 
 // ---------------------------------------------------------------------------
-// Rmin: dual iterates on the Prob1-restricted domain.
+// Rmin: one-backup checks on the Prob1-restricted domain.
 // ---------------------------------------------------------------------------
 
 /// The `Rmin` backup restricted to choices whose branches all stay inside
@@ -651,107 +670,6 @@ fn rmin_restricted_backup(art: &ModelArtifact, p1: &[bool], values: &[f64], i: u
         }
     }
     best
-}
-
-fn rmin_bounds(art: &ModelArtifact, epsilon: f64, max_iterations: usize) -> BoundsCertificate {
-    let telemetry = meda_telemetry::global();
-    let n = art.states;
-    let (p1, witness) = prob1(art);
-    let mut lo = vec![f64::INFINITY; n];
-    let mut hi = vec![f64::INFINITY; n];
-    for i in 0..n {
-        if p1[i] {
-            lo[i] = 0.0;
-        }
-        if art.goal_flags[i] {
-            hi[i] = 0.0;
-        }
-    }
-    // ∞-seeded descent stalls when the proper policy is cyclic (every
-    // backup sees an infinite successor and skips), so collapse the seed
-    // to the witness policy's *exact* cost first: finite on the whole
-    // Prob1 set and ≥ v* by definition of the minimum.
-    let mut seeded = false;
-    match evaluate_pick_exact(art, &witness, ValueKind::ExpectedCycles) {
-        Ok(eval) => {
-            seeded = true;
-            for i in 0..n {
-                if p1[i] && !art.goal_flags[i] {
-                    // Tiny inflation absorbs the elimination's rounding so
-                    // the seed stays an upper bound.
-                    hi[i] = eval.values[i] * (1.0 + 1e-12) + 1e-9;
-                }
-            }
-        }
-        Err(_) => {
-            telemetry.add("audit.bounds.seed_overflow", 1);
-        }
-    }
-    // One fused sweep backs up `lo` and `hi` together, with the sums of
-    // `rmin_restricted_backup` in the same branch order. It walks every
-    // choice, without the restricted backup's Prob1 filter: a choice
-    // with a branch leaving Prob1 reads `lo = hi = ∞` there (those
-    // entries never change, and branch probabilities are positive), so
-    // it backs up to `∞` and never wins the minimum. Both iterates are
-    // therefore bit-identical to two separate restricted backups.
-    let iterated = (0..n).filter(|&i| p1[i] && !art.goal_flags[i]).count();
-    let mut iterations = 0usize;
-    let mut converged = false;
-    let mut width = f64::INFINITY;
-    while !converged && iterations < max_iterations {
-        iterations += 1;
-        width = 0.0;
-        for i in 0..n {
-            if !p1[i] || art.goal_flags[i] {
-                continue;
-            }
-            let mut best_lo = f64::INFINITY;
-            let mut best_hi = f64::INFINITY;
-            for c in art.choice_range(i) {
-                let mut p_self = 0.0_f64;
-                let mut rest_lo = 0.0_f64;
-                let mut rest_hi = 0.0_f64;
-                for b in art.branch_range(c) {
-                    let t = art.branch_target[b] as usize;
-                    let p = art.branch_prob[b];
-                    if t == i {
-                        p_self += p;
-                    } else {
-                        rest_lo += p * lo[t];
-                        rest_hi += p * hi[t];
-                    }
-                }
-                let denom = 1.0 - p_self;
-                if denom > 0.0 {
-                    best_lo = best_lo.min((1.0 + rest_lo) / denom);
-                    best_hi = best_hi.min((1.0 + rest_hi) / denom);
-                }
-            }
-            lo[i] = lo[i].max(best_lo);
-            if seeded {
-                hi[i] = hi[i].min(best_hi);
-            }
-            width = width.max(hi[i] - lo[i]);
-        }
-        if width <= 2.0 * epsilon {
-            converged = true;
-        }
-        if !seeded {
-            break; // lo alone can never close the interval
-        }
-    }
-    telemetry.add("audit.bounds.backups", (iterations * iterated) as u64);
-    BoundsCertificate {
-        kind: ValueKind::ExpectedCycles,
-        epsilon,
-        lo,
-        hi,
-        iterations,
-        converged,
-        width,
-        mecs: 0,
-        largest_mec: 0,
-    }
 }
 
 fn verify_rmin(art: &ModelArtifact, cert: &BoundsCertificate, violations: &mut Vec<Violation>) {
@@ -845,7 +763,7 @@ pub fn unsound_vi_fixture() -> (ModelArtifact, Vec<f64>, Vec<Option<Action>>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CERTIFICATE_EPSILON;
+    use crate::{evaluate_strategy, CERTIFICATE_EPSILON};
     use meda_check::{
         boolean, cases_from_env, check, choose_u32, choose_usize, default_corpus_dir, f64_range,
         vec_of, weighted, Config, Gen,
@@ -902,88 +820,6 @@ mod tests {
         }
     }
 
-    /// The `Rmin` interval iteration the fused sweep replaced: two
-    /// separate [`rmin_restricted_backup`] calls per state and sweep, on
-    /// the reference `Prob1`.
-    fn reference_rmin_bounds(art: &ModelArtifact, epsilon: f64) -> BoundsCertificate {
-        let n = art.states;
-        let (p1, witness) = reference_prob1(art);
-        let mut lo = vec![f64::INFINITY; n];
-        let mut hi = vec![f64::INFINITY; n];
-        for i in 0..n {
-            if p1[i] {
-                lo[i] = 0.0;
-            }
-            if art.goal_flags[i] {
-                hi[i] = 0.0;
-            }
-        }
-        let mut seeded = false;
-        if let Ok(eval) = evaluate_pick_exact(art, &witness, ValueKind::ExpectedCycles) {
-            seeded = true;
-            for i in 0..n {
-                if p1[i] && !art.goal_flags[i] {
-                    hi[i] = eval.values[i] * (1.0 + 1e-12) + 1e-9;
-                }
-            }
-        }
-        let mut iterations = 0usize;
-        let mut converged = false;
-        let mut width = f64::INFINITY;
-        while !converged && iterations < BOUNDS_MAX_ITERATIONS {
-            iterations += 1;
-            width = 0.0;
-            for i in 0..n {
-                if !p1[i] || art.goal_flags[i] {
-                    continue;
-                }
-                lo[i] = lo[i].max(rmin_restricted_backup(art, &p1, &lo, i));
-                if seeded {
-                    hi[i] = hi[i].min(rmin_restricted_backup(art, &p1, &hi, i));
-                }
-                width = width.max(hi[i] - lo[i]);
-            }
-            if width <= 2.0 * epsilon {
-                converged = true;
-            }
-            if !seeded {
-                break;
-            }
-        }
-        BoundsCertificate {
-            kind: ValueKind::ExpectedCycles,
-            epsilon,
-            lo,
-            hi,
-            iterations,
-            converged,
-            width,
-            mecs: 0,
-            largest_mec: 0,
-        }
-    }
-
-    /// Bit-level differences between two `Rmin` certificates, if any.
-    fn bit_diff(new: &BoundsCertificate, old: &BoundsCertificate) -> Result<(), String> {
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        if bits(&new.lo) != bits(&old.lo) {
-            return Err(format!("lo {:?} != {:?}", new.lo, old.lo));
-        }
-        if bits(&new.hi) != bits(&old.hi) {
-            return Err(format!("hi {:?} != {:?}", new.hi, old.hi));
-        }
-        if (new.iterations, new.converged, new.width.to_bits())
-            != (old.iterations, old.converged, old.width.to_bits())
-        {
-            return Err(format!(
-                "sweeps/converged/width {:?} != {:?}",
-                (new.iterations, new.converged, new.width),
-                (old.iterations, old.converged, old.width)
-            ));
-        }
-        Ok(())
-    }
-
     /// Builds an artifact from per-state choice lists of `(target,
     /// weight)` branches, weights normalized per choice. Goal states keep
     /// no choices (they are absorbing).
@@ -1032,63 +868,18 @@ mod tests {
         })
     }
 
-    /// A ring of more than [`crate::MAX_CHAIN_BLOCK`] states (each steps
-    /// forward with `p`, back otherwise) whose state 0 can also gamble on
-    /// the goal: the witness chain is one strongly connected block too
-    /// large to eliminate, so `Rmin` takes the unseeded path.
-    fn ring(n: usize, p: f64) -> ModelArtifact {
-        let mut choices: Vec<Vec<Vec<(u32, f64)>>> = (0..n)
-            .map(|i| {
-                let (next, prev) = ((i + 1) % n, (i + n - 1) % n);
-                vec![vec![(next as u32, p), (prev as u32, 1.0 - p)]]
-            })
-            .collect();
-        choices[0].push(vec![(n as u32, 0.5), (1, 0.5)]);
-        choices.push(Vec::new());
-        let mut goals = vec![false; n + 1];
-        goals[n] = true;
-        artifact(goals, &choices)
-    }
-
     #[test]
-    fn an_oversized_witness_block_takes_the_unseeded_path() {
-        let art = ring(crate::MAX_CHAIN_BLOCK + 1, 0.5);
-        let cert = compute_bounds(
-            &art,
-            ValueKind::ExpectedCycles,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
-        assert_eq!(cert.iterations, 1);
-        assert!(!cert.converged);
-        assert!(cert.hi[..art.states - 1].iter().all(|h| h.is_infinite()));
-        assert!(cert.lo[0] > 0.0 && cert.lo[0].is_finite());
-    }
-
-    #[test]
-    fn fused_sweep_and_dirty_prob1_match_the_full_pass_reference_bit_for_bit() {
+    fn dirty_prob1_matches_the_full_pass_reference() {
         let config = Config::default()
             .with_cases(cases_from_env(256))
             .with_corpus(default_corpus_dir());
-        let rings = choose_usize(crate::MAX_CHAIN_BLOCK + 1, crate::MAX_CHAIN_BLOCK + 64)
-            .zip(f64_range(0.1, 0.9))
-            .map(|&(n, p)| ring(n, p));
-        let models = weighted(vec![(15, small_model()), (1, rings)]);
-        check("audit-bounds-fused-sweep", &config, &models, |art| {
-            if prob1(art) != reference_prob1(art) {
-                return Err(format!(
-                    "prob1 {:?} != reference {:?}",
-                    prob1(art),
-                    reference_prob1(art)
-                ));
+        check("audit-prob1-dirty", &config, &small_model(), |art| {
+            let (new, old) = (prob1(art), reference_prob1(art));
+            if new == old {
+                Ok(())
+            } else {
+                Err(format!("prob1 {new:?} != reference {old:?}"))
             }
-            let new = compute_bounds(
-                art,
-                ValueKind::ExpectedCycles,
-                CERTIFICATE_EPSILON,
-                BOUNDS_MAX_ITERATIONS,
-            );
-            bit_diff(&new, &reference_rmin_bounds(art, CERTIFICATE_EPSILON))
         });
     }
 
@@ -1111,6 +902,14 @@ mod tests {
         }
     }
 
+    /// The `Rmin` certificate of the corridor's east-east strategy.
+    fn corridor_rmin_certificate(art: &ModelArtifact) -> BoundsCertificate {
+        let strategy = [Some(east()), Some(east()), None];
+        let eval = evaluate_strategy(art, &strategy, ValueKind::ExpectedCycles)
+            .expect("the corridor strategy evaluates");
+        strategy_bounds(&eval, CERTIFICATE_EPSILON)
+    }
+
     fn ec_trap() -> ModelArtifact {
         unsound_vi_fixture().0
     }
@@ -1118,12 +917,7 @@ mod tests {
     #[test]
     fn corridor_pmax_bounds_converge_to_one() {
         let art = corridor();
-        let cert = compute_bounds(
-            &art,
-            ValueKind::Reachability,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let cert = pmax_bounds(&art, CERTIFICATE_EPSILON, BOUNDS_MAX_ITERATIONS);
         assert!(cert.converged, "width {}", cert.width);
         for i in 0..3 {
             assert!(cert.lo[i] > 1.0 - 1e-9, "lo[{i}] = {}", cert.lo[i]);
@@ -1135,12 +929,7 @@ mod tests {
     #[test]
     fn corridor_rmin_bounds_bracket_the_exact_value() {
         let art = corridor();
-        let cert = compute_bounds(
-            &art,
-            ValueKind::ExpectedCycles,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let cert = corridor_rmin_certificate(&art);
         assert!(cert.converged);
         assert!(
             cert.lo[0] <= 2.5 && 2.5 <= cert.hi[0],
@@ -1156,12 +945,7 @@ mod tests {
     #[test]
     fn ec_trap_bounds_find_the_true_half() {
         let art = ec_trap();
-        let cert = compute_bounds(
-            &art,
-            ValueKind::Reachability,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let cert = pmax_bounds(&art, CERTIFICATE_EPSILON, BOUNDS_MAX_ITERATIONS);
         assert!(cert.converged);
         assert!(cert.mecs >= 1, "the shuttle must be detected as a MEC");
         assert!(
@@ -1187,12 +971,7 @@ mod tests {
             residual.certifies(CERTIFICATE_EPSILON),
             "the residual certificate is fooled by the EC fixed point"
         );
-        let cert = compute_bounds(
-            &art,
-            ValueKind::Reachability,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let cert = pmax_bounds(&art, CERTIFICATE_EPSILON, BOUNDS_MAX_ITERATIONS);
         let bracket = bracket_violations(&cert, &bogus, CERTIFICATE_EPSILON);
         assert!(
             bracket
@@ -1218,12 +997,7 @@ mod tests {
         let mut art = corridor();
         art.branch_target[2] = 1;
         art.branch_prob[2] = 0.8;
-        let cert = compute_bounds(
-            &art,
-            ValueKind::ExpectedCycles,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let cert = corridor_rmin_certificate(&art);
         assert!(cert.lo[0].is_infinite() && cert.hi[0].is_infinite());
         assert_eq!(cert.width_at(0), 0.0);
     }
@@ -1231,12 +1005,7 @@ mod tests {
     #[test]
     fn forged_rmin_bounds_are_rejected() {
         let art = corridor();
-        let cert = compute_bounds(
-            &art,
-            ValueKind::ExpectedCycles,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let cert = corridor_rmin_certificate(&art);
         assert!(verify_bounds(&art, &cert).is_empty());
 
         let mut inflated = cert.clone();

@@ -13,9 +13,10 @@
 //! still be arbitrarily wrong (Haddad–Monmège; see the `ec_trap` fixture
 //! in `bounds.rs`). The residual certificate is a cheap consistency gate
 //! — it catches corrupted vectors, mismatched operators, and divergent
-//! solves. For a sound statement about the *value*, use
-//! [`crate::compute_bounds`] / [`crate::BoundsCertificate`], whose
-//! interval-iteration bounds certify `lo ≤ v* ≤ hi`.
+//! solves. For a sound statement about the *value*, use a
+//! [`crate::BoundsCertificate`] ([`crate::pmax_bounds`],
+//! [`crate::strategy_bounds`]) that passes [`crate::verify_bounds`]: it
+//! certifies `lo ≤ v* ≤ hi`.
 
 use crate::{ModelArtifact, Violation};
 
@@ -57,8 +58,8 @@ impl Certificate {
     /// This is a *consistency* property, **not** a value guarantee — an
     /// end-component fixed point passes with residual 0 while being far
     /// from the true value. Callers that need `|v − v*| ≤ ε` must check
-    /// the [`crate::BoundsCertificate`] from [`crate::compute_bounds`]
-    /// instead.
+    /// a verified [`crate::BoundsCertificate`] instead
+    /// ([`crate::audit_solution_sound`]).
     #[must_use]
     pub fn certifies(&self, epsilon: f64) -> bool {
         self.max_residual <= epsilon && self.inconsistent.is_empty() && self.out_of_range.is_empty()

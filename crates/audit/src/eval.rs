@@ -1,26 +1,28 @@
 //! Exact evaluation of the Markov chain a memoryless strategy induces.
 //!
 //! The residual certificate ([`crate::bellman_certificate`]) and the
-//! interval bounds ([`crate::compute_bounds`]) both speak about the *value
-//! vector*; neither proves anything about the **strategy** the solver
-//! ships. This pass closes that gap: walking the strategy over the CSR
-//! graph yields a Markov chain (one choice per state), whose value is a
-//! *linear* system — no max/min — and can therefore be solved exactly
-//! rather than iterated. The chain is condensed into strongly connected
-//! components (the shared `meda-core` Tarjan pass); bottom components
-//! are resolved structurally (a goal singleton is 1 / 0 cycles, any other
-//! recurrent class never reaches the goal: 0 / ∞); transient components
-//! are processed in reverse topological order, each solved by dense
-//! partially-pivoted Gaussian elimination over its (typically tiny) block
-//! with sparse substitution of the already-solved downstream values. The
-//! result is the exact (f64) value the shipped strategy attains, which
+//! `Pmax` interval bounds ([`crate::pmax_bounds`]) both speak about a
+//! *value vector*; neither proves anything about the **strategy** the
+//! solver ships. This pass closes that gap: walking the strategy over the
+//! CSR graph yields a Markov chain (one choice per state), whose value is
+//! a *linear* system — no max/min — and can therefore be solved exactly
+//! rather than iterated (for `Rmin` it is also the certificate,
+//! [`crate::strategy_bounds`]). The chain is condensed into strongly
+//! connected components (the shared `meda-core` Tarjan pass); bottom
+//! components are resolved structurally (a goal singleton is 1 / 0
+//! cycles, any other recurrent class never reaches the goal: 0 / ∞);
+//! transient components are processed in reverse topological order, each
+//! solved by dense partially-pivoted Gaussian elimination over its
+//! (typically tiny) block with sparse substitution of the already-solved
+//! downstream values, then re-checked on its own equations. The result is
+//! the exact (f64) value the shipped strategy attains, which
 //! [`audit_strategy_value`] then requires to lie inside the certified
 //! `[lo, hi]` interval.
 
 use meda_core::{tarjan_scc, Action};
 
 use crate::bounds::BOUNDS_SLACK;
-use crate::{BoundsCertificate, ModelArtifact, ValueKind, Violation};
+use crate::{prob1, BoundsCertificate, ModelArtifact, ValueKind, Violation};
 
 /// Dense blocks beyond this edge length are refused — a strategy chain
 /// with a strongly connected component this large would need O(block²)
@@ -29,9 +31,16 @@ use crate::{BoundsCertificate, ModelArtifact, ValueKind, Violation};
 /// degenerate strategy and is reported as a violation rather than solved.
 pub const MAX_CHAIN_BLOCK: usize = 4096;
 
+/// Largest accepted residual of a solved block's equation, relative to
+/// `1 + b`: rounding leaves about 1e-7 at 10⁹ expected cycles, a
+/// numerically singular block leaves residuals of order `b`.
+const EVAL_RESIDUAL_TOLERANCE: f64 = 1e-6;
+
 /// The outcome of exactly evaluating a strategy's induced chain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StrategyEvaluation {
+    /// Operator the values belong to.
+    pub kind: ValueKind,
     /// Exact per-state value of the induced chain (`Pmax`: reach
     /// probability; `Rmin`: expected cycles, `∞` where the chain never
     /// absorbs in the goal).
@@ -40,19 +49,45 @@ pub struct StrategyEvaluation {
     pub largest_block: usize,
 }
 
-/// Exactly evaluates the chain induced by `pick` (one chosen choice index
-/// per state, `None` = absorbing under the strategy). Returns `Err` with
-/// the offending block size if a strongly connected component exceeds
-/// [`MAX_CHAIN_BLOCK`].
+/// Exactly evaluates the chain induced by a memoryless strategy given as
+/// one [`Action`] per state. Actions are resolved against the CSR choice
+/// table; an action not enabled at its state yields
+/// [`Violation::StrategyInvalidAction`]. The artifact must have passed
+/// [`crate::audit_model`].
 ///
-/// The artifact must have passed [`crate::audit_model`] and every
-/// `Some(c)` must be a valid choice index of its state — callers resolve
-/// actions via the CSR arrays first.
-pub(crate) fn evaluate_pick_exact(
+/// # Errors
+///
+/// Returns the violations that prevented evaluation: invalid length,
+/// disabled action, a strongly connected block over [`MAX_CHAIN_BLOCK`],
+/// or a block whose solution misses its own equations (or gives a
+/// negative expected cost) — a numerically singular block, reported
+/// rather than clamped into range.
+pub fn evaluate_strategy(
     art: &ModelArtifact,
-    pick: &[Option<usize>],
+    choice: &[Option<Action>],
     kind: ValueKind,
-) -> Result<StrategyEvaluation, usize> {
+) -> Result<StrategyEvaluation, Vec<Violation>> {
+    if choice.len() != art.states {
+        return Err(vec![Violation::StrategyLength {
+            expected: art.states,
+            found: choice.len(),
+        }]);
+    }
+    let mut pick = vec![None; art.states];
+    let mut violations = Vec::new();
+    for (i, &action) in choice.iter().enumerate() {
+        let Some(action) = action else { continue };
+        match art
+            .choice_range(i)
+            .find(|&c| art.choice_action[c] == action)
+        {
+            Some(c) => pick[i] = Some(c),
+            None => violations.push(Violation::StrategyInvalidAction { state: i, action }),
+        }
+    }
+    if !violations.is_empty() {
+        return Err(violations);
+    }
     let telemetry = meda_telemetry::global();
     let _span = telemetry.span("audit.eval");
     let n = art.states;
@@ -68,6 +103,10 @@ pub(crate) fn evaluate_pick_exact(
                 .map(|b| art.branch_target[b])
         },
     );
+    let cost = match kind {
+        ValueKind::Reachability => 0.0,
+        ValueKind::ExpectedCycles => 1.0,
+    };
     let mut values = vec![0.0_f64; n];
     let mut pos = vec![0u32; n]; // local index within the current block
     let mut largest_block = 0usize;
@@ -104,7 +143,10 @@ pub(crate) fn evaluate_pick_exact(
         }
         let m = members.len();
         if m > MAX_CHAIN_BLOCK {
-            return Err(m);
+            return Err(vec![Violation::StrategyChainBlockTooLarge {
+                block: m,
+                limit: MAX_CHAIN_BLOCK,
+            }]);
         }
         largest_block = largest_block.max(m);
         for (local, &u) in members.iter().enumerate() {
@@ -117,9 +159,7 @@ pub(crate) fn evaluate_pick_exact(
         let mut touches_infinite = false;
         for (local, &u) in members.iter().enumerate() {
             a[local * m + local] = 1.0;
-            if kind == ValueKind::ExpectedCycles {
-                b[local] = 1.0;
-            }
+            b[local] = cost;
             let Some(c) = pick[u as usize] else {
                 // Absorbing in a transient component is impossible: a
                 // choice-less state has no out edge, so its component is
@@ -146,98 +186,86 @@ pub(crate) fn evaluate_pick_exact(
             }
             continue;
         }
-        let x = solve_dense(&mut a, &mut b, m).ok_or(m)?;
+        let unsolved = |state, residual| {
+            vec![Violation::StrategyChainUnsolved {
+                state,
+                block: m,
+                residual,
+            }]
+        };
+        let rhs = b.clone();
+        let x = solve_dense(&mut a, &mut b, m)
+            .ok_or_else(|| unsolved(members[0] as usize, f64::INFINITY))?;
         for (local, &u) in members.iter().enumerate() {
-            let v = x[local];
-            values[u as usize] = if kind == ValueKind::Reachability {
-                v.clamp(0.0, 1.0)
-            } else {
-                v.max(0.0)
-            };
+            values[u as usize] = x[local];
+        }
+        // Re-check `(I − Q)x = b` row by row over the CSR branches.
+        for (local, &u) in members.iter().enumerate() {
+            let u = u as usize;
+            let Some(c) = pick[u] else { continue };
+            let mut lhs = values[u];
+            for br in art.branch_range(c) {
+                let t = art.branch_target[br] as usize;
+                if scc.component[t] as usize == k {
+                    lhs -= art.branch_prob[br] * values[t];
+                }
+            }
+            let residual = (lhs - rhs[local]).abs();
+            let solved = residual <= EVAL_RESIDUAL_TOLERANCE * (1.0 + rhs[local]); // false on NaN
+            if !solved || (kind == ValueKind::ExpectedCycles && values[u] < 0.0) {
+                return Err(unsolved(u, residual));
+            }
+        }
+        if kind == ValueKind::Reachability {
+            for &u in members {
+                values[u as usize] = values[u as usize].clamp(0.0, 1.0); // rounding only
+            }
         }
     }
     telemetry.add("audit.eval.largest_block", largest_block as u64);
     Ok(StrategyEvaluation {
+        kind,
         values,
         largest_block,
     })
 }
 
-/// Exactly evaluates the chain induced by a memoryless strategy given as
-/// one [`Action`] per state. Actions are resolved against the CSR choice
-/// table; an action not enabled at its state yields
-/// [`Violation::StrategyInvalidAction`].
-///
-/// # Errors
-///
-/// Returns the violations that prevented evaluation (invalid length,
-/// disabled action, or an oversized dense block).
-pub fn evaluate_strategy(
-    art: &ModelArtifact,
-    choice: &[Option<Action>],
-    kind: ValueKind,
-) -> Result<StrategyEvaluation, Vec<Violation>> {
-    if choice.len() != art.states {
-        return Err(vec![Violation::StrategyLength {
-            expected: art.states,
-            found: choice.len(),
-        }]);
-    }
-    let mut pick = vec![None; art.states];
-    let mut violations = Vec::new();
-    for (i, &action) in choice.iter().enumerate() {
-        let Some(action) = action else { continue };
-        match art
-            .choice_range(i)
-            .find(|&c| art.choice_action[c] == action)
-        {
-            Some(c) => pick[i] = Some(c),
-            None => violations.push(Violation::StrategyInvalidAction { state: i, action }),
-        }
-    }
-    if !violations.is_empty() {
-        return Err(violations);
-    }
-    evaluate_pick_exact(art, &pick, kind).map_err(|block| {
-        vec![Violation::StrategyChainBlockTooLarge {
-            block,
-            limit: MAX_CHAIN_BLOCK,
-        }]
-    })
-}
-
-/// Checks that the exact value the shipped strategy attains at the initial
-/// state lies inside the certified interval — the only check in the crate
-/// that verifies the *strategy*, not just the value vector. The tolerance
-/// allows the extracted-greedy gap of an `ε`-converged solve plus the
-/// verification slack.
+/// Checks a strategy's exact evaluation against the certified interval —
+/// the only check in the crate that verifies the *strategy*, not just the
+/// value vector. The value at the initial state must lie inside the
+/// interval; the tolerance allows the extracted-greedy gap of an
+/// `ε`-converged solve plus the verification slack. And the strategy must
+/// be proper wherever some strategy is: an infinite `Rmin` value on a
+/// `Prob1` state is [`Violation::StrategyImproper`]. (A loop inside
+/// `Prob1` whose every choice re-enters it certifies as `[∞, ∞]`, which
+/// the backups of [`crate::verify_bounds`] cannot refute.)
 #[must_use]
 pub fn audit_strategy_value(
     art: &ModelArtifact,
-    choice: &[Option<Action>],
-    kind: ValueKind,
+    eval: &StrategyEvaluation,
     cert: &BoundsCertificate,
 ) -> Vec<Violation> {
-    let eval = match evaluate_strategy(art, choice, kind) {
-        Ok(eval) => eval,
-        Err(violations) => return violations,
-    };
+    let mut violations = Vec::new();
+    if eval.values.iter().any(|v| v.is_infinite()) {
+        let (p1, _) = prob1(art);
+        let improper = (0..art.states).find(|&i| p1[i] && eval.values[i].is_infinite());
+        violations.extend(improper.map(|state| Violation::StrategyImproper { state }));
+    }
     let i = art.init;
     if cert.lo.len() != art.states || cert.hi.len() != art.states {
-        return Vec::new(); // already reported by verify_bounds
+        return violations; // already reported by verify_bounds
     }
     let value = eval.values[i];
     let scale = if value.is_finite() { value.abs() } else { 0.0 };
     let tol = 2.0 * cert.epsilon + BOUNDS_SLACK + 1e-9 * scale;
-    if cert.contains(i, value, tol) {
-        Vec::new()
-    } else {
-        vec![Violation::StrategyValueOutsideBounds {
+    if !cert.contains(i, value, tol) {
+        violations.push(Violation::StrategyValueOutsideBounds {
             value,
             lo: cert.lo[i],
             hi: cert.hi[i],
-        }]
+        });
     }
+    violations
 }
 
 /// Solves `A x = b` in place by Gaussian elimination with partial
@@ -361,6 +389,45 @@ mod tests {
         assert!(err
             .iter()
             .any(|v| matches!(v, Violation::StrategyInvalidAction { state: 0, .. })));
+    }
+
+    /// A three-state ring, each state staying put with 0.995 and stepping
+    /// on otherwise; state 0 also leaks `exit` to the goal (state 3).
+    fn leaky_ring(exit: f64) -> ModelArtifact {
+        ModelArtifact {
+            states: 4,
+            init: 0,
+            sink: None,
+            goal_flags: vec![false, false, false, true],
+            state_choice_start: vec![0, 1, 2, 3, 3],
+            choice_action: vec![east(); 3],
+            choice_branch_start: vec![0, 3, 5, 7],
+            branch_target: vec![0, 1, 3, 1, 2, 2, 0],
+            branch_prob: vec![0.995, 0.005 - exit, exit, 0.995, 0.005, 0.995, 0.005],
+        }
+    }
+
+    #[test]
+    fn an_ill_conditioned_cyclic_block_is_a_typed_failure() {
+        let strat = vec![Some(east()), Some(east()), Some(east()), None];
+        // Escape mass 1e-3: a fifth of the steps out of state 0 reach the
+        // goal, each state waits 200 cycles per step, so
+        // v0 = 200 + 0.8 (400 + v0) = 2,600.
+        let fine = evaluate_strategy(&leaky_ring(1e-3), &strat, ValueKind::ExpectedCycles)
+            .expect("a well-conditioned block evaluates");
+        assert!((fine.values[0] - 2_600.0).abs() < 1e-9, "{:?}", fine.values);
+        // Escape mass 1e-16 is below the resolution of 1 − 0.995: the
+        // block is numerically singular and elimination returns garbage,
+        // which must come back as a typed failure.
+        let err =
+            evaluate_strategy(&leaky_ring(1e-16), &strat, ValueKind::ExpectedCycles).unwrap_err();
+        assert!(
+            matches!(
+                err[..],
+                [Violation::StrategyChainUnsolved { block: 3, residual, .. }] if residual > 1e-3
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

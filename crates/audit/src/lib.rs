@@ -18,17 +18,18 @@
 //!   ε-fixed-point *consistency* certificate, independent of solver
 //!   trajectory. Note this is not a value guarantee: a vector stuck on an
 //!   end-component fixed point has residual 0 while being far from `v*`.
-//! - [`compute_bounds`] / [`verify_bounds`] — **sound** certified
-//!   `[lo, hi]` value bounds by interval iteration over the maximal
-//!   end-component quotient ([`meda_core::mec_decomposition`]), with
-//!   `hi − lo ≤ 2ε` on convergence; this is the pass that actually bounds
-//!   the distance to the true value.
+//! - [`pmax_bounds`] / [`strategy_bounds`] / [`verify_bounds`] —
+//!   **sound** certified `[lo, hi]` value bounds (`Pmax`: interval
+//!   iteration over the maximal end-component quotient; `Rmin`: the
+//!   shipped strategy's exact value, accepted only if it is optimal),
+//!   with `hi − lo ≤ 2ε`; this is the pass that actually bounds the
+//!   distance to the true value.
 //! - [`audit_strategy`] — totality and closure of the synthesized
 //!   memoryless strategy over the states it can actually reach.
 //! - [`evaluate_strategy`] / [`audit_strategy_value`] — exact evaluation
 //!   of the strategy's induced Markov chain (SCC-blocked sparse Gaussian
-//!   elimination), proving the shipped strategy attains a value inside
-//!   the certified interval.
+//!   elimination, each block re-checked on its own equations), proving
+//!   the shipped strategy attains a value inside the certified interval.
 //!
 //! [`audit_solution`] bundles the structural, residual, and strategy
 //! checks for the common case; [`audit_solution_sound`] layers the bounds
@@ -70,7 +71,7 @@ mod strategy;
 
 pub use artifact::ModelArtifact;
 pub use bounds::{
-    bracket_violations, compute_bounds, prob1, unsound_vi_fixture, verify_bounds,
+    bracket_violations, pmax_bounds, prob1, strategy_bounds, unsound_vi_fixture, verify_bounds,
     BoundsCertificate, BOUNDS_MAX_ITERATIONS, BOUNDS_SLACK,
 };
 pub use certify::{audit_values, bellman_certificate, Certificate, ValueKind};
@@ -115,13 +116,17 @@ pub fn audit_solution(
 }
 
 /// The sound certification pass: structural audit, certified `[lo, hi]`
-/// interval bounds re-verified from scratch, a bracket check that the
-/// solver's value vector lies inside the interval at every state, and an
-/// exact evaluation of the shipped strategy's induced chain whose initial
-/// value must also land inside the interval.
+/// bounds re-verified from scratch, a bracket check that the solver's
+/// value vector lies inside the interval at every state, and an exact
+/// evaluation of the shipped strategy's induced chain whose initial value
+/// must also land inside the interval. `Pmax` bounds come from interval
+/// iteration ([`pmax_bounds`]); `Rmin` bounds from that one evaluation
+/// ([`strategy_bounds`]), which [`verify_bounds`] accepts only if the
+/// strategy is optimal.
 ///
 /// Returns the merged report plus the bounds certificate when the
-/// structural audit allowed the bounds pass to run. Unlike
+/// structural audit (and, for `Rmin`, the evaluation) allowed the bounds
+/// pass to run. Unlike
 /// [`audit_solution`], a clean report here *does* bound the distance to
 /// the true value: `|v_i − v*_i| ≤ 2ε` for every state and the strategy
 /// provably attains a value inside `[lo, hi]` at init.
@@ -137,14 +142,23 @@ pub fn audit_solution_sound(
     if !report.is_clean() {
         return (report, None);
     }
-    let cert = compute_bounds(art, kind, epsilon, BOUNDS_MAX_ITERATIONS);
+    let eval = evaluate_strategy(art, choice, kind);
+    let cert = match (kind, &eval) {
+        (ValueKind::Reachability, _) => pmax_bounds(art, epsilon, BOUNDS_MAX_ITERATIONS),
+        (ValueKind::ExpectedCycles, Ok(eval)) => strategy_bounds(eval, epsilon),
+        (ValueKind::ExpectedCycles, Err(violations)) => {
+            report.violations.extend(violations.iter().cloned());
+            return (report, None);
+        }
+    };
     report.violations.extend(verify_bounds(art, &cert));
     report
         .violations
         .extend(bracket_violations(&cert, values, epsilon));
-    report
-        .violations
-        .extend(audit_strategy_value(art, choice, kind, &cert));
+    report.violations.extend(match eval {
+        Ok(eval) => audit_strategy_value(art, &eval, &cert),
+        Err(violations) => violations,
+    });
     (report, Some(cert))
 }
 
@@ -373,6 +387,59 @@ mod tests {
                 .iter()
                 .any(|v| matches!(v, Violation::StrategyChoiceAtAbsorbing { state: 2 }))
         );
+    }
+
+    #[test]
+    fn an_improper_strategy_is_rejected_where_the_backups_cannot_refute_it() {
+        // States 0 and 1 can each gamble 50/50 between the goal (2) and the
+        // other state (E), or hand over to the other state outright (W).
+        // The strategy W, W shuttles forever: value ∞ at both, where the
+        // truth is 2. Every choice at either state re-enters the pair, so
+        // ∞ is a post-fixed point there and the certificate [∞, ∞] passes
+        // the verifier's backups; the improper-strategy check must catch it.
+        let (east, west) = (
+            Action::Move(meda_core::Dir::E),
+            Action::Move(meda_core::Dir::W),
+        );
+        let art = ModelArtifact {
+            states: 3,
+            init: 0,
+            sink: None,
+            goal_flags: vec![false, false, true],
+            state_choice_start: vec![0, 2, 4, 4],
+            choice_action: vec![east, west, east, west],
+            choice_branch_start: vec![0, 2, 3, 5, 6],
+            branch_target: vec![2, 1, 1, 2, 0, 0],
+            branch_prob: vec![0.5, 0.5, 1.0, 0.5, 0.5, 1.0],
+        };
+        assert!(audit_model(&art).is_clean());
+        let shuttle = vec![Some(west), Some(west), None];
+        let forged_values = vec![f64::INFINITY, f64::INFINITY, 0.0];
+        let eval = evaluate_strategy(&art, &shuttle, ValueKind::ExpectedCycles).expect("evaluates");
+        let cert = strategy_bounds(&eval, CERTIFICATE_EPSILON);
+        assert!(verify_bounds(&art, &cert).is_empty());
+        let (report, _) = audit_solution_sound(
+            &art,
+            &forged_values,
+            &shuttle,
+            ValueKind::ExpectedCycles,
+            CERTIFICATE_EPSILON,
+        );
+        assert_eq!(
+            report.violations,
+            vec![Violation::StrategyImproper { state: 0 }]
+        );
+        // The gamble, E at both, is optimal and certifies.
+        let gamble = vec![Some(east), Some(east), None];
+        let (report, cert) = audit_solution_sound(
+            &art,
+            &[2.0, 2.0, 0.0],
+            &gamble,
+            ValueKind::ExpectedCycles,
+            CERTIFICATE_EPSILON,
+        );
+        assert!(report.is_clean(), "{report}");
+        assert!(cert.is_some_and(|c| c.contains(0, 2.0, 0.0)));
     }
 
     #[test]

@@ -250,6 +250,23 @@ pub enum Violation {
         /// The configured limit.
         limit: usize,
     },
+    /// A solved block of the strategy's induced chain misses its own
+    /// equations (or gives a negative expected cost): it is numerically
+    /// singular.
+    StrategyChainUnsolved {
+        /// The first member whose equation fails.
+        state: usize,
+        /// Size of the block.
+        block: usize,
+        /// That equation's residual (`∞` on a zero pivot).
+        residual: f64,
+    },
+    /// The strategy never reaches the goal from this state (the lowest
+    /// such), although some strategy reaches it almost surely.
+    StrategyImproper {
+        /// The state.
+        state: usize,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -396,6 +413,20 @@ impl fmt::Display for Violation {
                 f,
                 "strategy chain has a strongly connected block of {block} states \
                  (limit {limit})"
+            ),
+            Self::StrategyChainUnsolved {
+                state,
+                block,
+                residual,
+            } => write!(
+                f,
+                "strategy chain block of {block} states is unsolved: residual {residual} \
+                 at state {state}"
+            ),
+            Self::StrategyImproper { state } => write!(
+                f,
+                "strategy never reaches the goal from state {state}, which can reach it \
+                 almost surely"
             ),
         }
     }

@@ -1,20 +1,19 @@
-//! Bit-identity golden for the sound bounds pass.
-//!
-//! Hashes everything [`compute_bounds`] and [`prob1`] produce — the
-//! `lo`/`hi` bit patterns, the sweep count, the convergence flag and
-//! width, the `Prob1` membership and every witness choice — over a fixed
-//! model set, for both operators. The hash was recorded before the
-//! interval sweep was rewritten for speed; any change to the arithmetic,
-//! the sweep order or the witness choice moves it.
+//! Bit-identity goldens for the sound bounds pass, one hash per output
+//! over a fixed model set: the `Prob1` membership, the `Pmax`
+//! interval-iteration certificate, and the `Rmin` certificate of the
+//! solver's strategy. Each certificate hash covers the `lo`/`hi` bit
+//! patterns, the sweep count, the convergence flag and the width; any
+//! change to the arithmetic or the sweep order moves it.
 
 use meda_audit::{
-    compute_bounds, prob1, verify_bounds, ModelArtifact, ValueKind, BOUNDS_MAX_ITERATIONS,
-    CERTIFICATE_EPSILON,
+    evaluate_strategy, pmax_bounds, prob1, strategy_bounds, verify_bounds, BoundsCertificate,
+    ModelArtifact, ValueKind, BOUNDS_MAX_ITERATIONS, CERTIFICATE_EPSILON,
 };
 use meda_core::{ActionConfig, HazardHandling, HealthField, RoutingMdp};
 use meda_degradation::HealthLevel;
 use meda_grid::{ChipDims, Grid, Rect};
 use meda_rng::{Rng, SeedableRng, StdRng};
+use meda_synth::{min_expected_cycles, SolverOptions};
 
 /// Health bits of every planning field.
 const BITS: u8 = 3;
@@ -42,7 +41,7 @@ fn job(
     config: &ActionConfig,
     hazard: HazardHandling,
     dead: f64,
-) -> ModelArtifact {
+) -> RoutingMdp {
     let mut rng = StdRng::seed_from_u64(seed);
     let dims = ChipDims::new(aw + 2, ah + 2);
     let mut grid = Grid::from_fn(dims, |_| {
@@ -55,7 +54,7 @@ fn job(
             }
         }
     }
-    let mdp = RoutingMdp::build_with(
+    RoutingMdp::build_with(
         Rect::with_size(1, 1, dw, dh),
         Rect::with_size((aw - dw + 1) as i32, (ah - dh + 1) as i32, dw, dh),
         Rect::new(1, 1, aw as i32, ah as i32),
@@ -63,8 +62,7 @@ fn job(
         config,
         hazard,
     )
-    .expect("golden model builds");
-    ModelArtifact::from(&mdp)
+    .expect("golden model builds")
 }
 
 /// The fixed model set: Table V cells at reduced size (the two smallest
@@ -73,7 +71,7 @@ fn job(
 /// cells at 20–35 % density, some with bound-exiting actions routed to an
 /// absorbing sink — that leave states outside `Prob1` and `Prob1` states
 /// with choices leaving it. The flag marks the degraded ones.
-fn models() -> Vec<(&'static str, bool, ModelArtifact)> {
+fn models() -> Vec<(&'static str, bool, RoutingMdp)> {
     let moves = ActionConfig::moves_only();
     let full = ActionConfig::default();
     let guard = HazardHandling::GuardDisable;
@@ -137,14 +135,36 @@ fn models() -> Vec<(&'static str, bool, ModelArtifact)> {
     ]
 }
 
-/// The hash of everything below, recorded before the sweep rewrite.
-const GOLDEN: u64 = 0x5294_e2e4_87fc_12f5;
+/// Prob1 membership over the model set, recorded before the `Rmin`
+/// certificate moved to the shipped strategy's exact value.
+const PROB1_GOLDEN: u64 = 0x2ee1_d857_56c1_81c4;
+
+/// The `Pmax` interval-iteration certificate over the model set, recorded
+/// at the same point.
+const PMAX_GOLDEN: u64 = 0x50f9_d783_755f_4f29;
+
+/// The `Rmin` certificate of the solver's strategy over the model set,
+/// recorded when it replaced `Rmin` interval iteration. It also moves if
+/// the solver ships a different strategy or the exact evaluation sums in
+/// another order.
+const RMIN_GOLDEN: u64 = 0x5751_f62d_da9c_d233;
+
+fn hash_cert(h: &mut Fnv, cert: &BoundsCertificate) {
+    for (lo, hi) in cert.lo.iter().zip(&cert.hi) {
+        h.word(lo.to_bits());
+        h.word(hi.to_bits());
+    }
+    h.word(cert.iterations as u64);
+    h.word(u64::from(cert.converged));
+    h.word(cert.width.to_bits());
+}
 
 #[test]
-fn bounds_and_prob1_are_bit_identical_to_the_recorded_golden() {
+fn prob1_membership_is_bit_identical_to_the_recorded_golden() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
-    for (name, degraded, art) in models() {
-        let (p1, witness) = prob1(&art);
+    for (name, degraded, mdp) in models() {
+        let art = ModelArtifact::from(&mdp);
+        let (p1, _) = prob1(&art);
         if degraded {
             // The set must exercise the restricted domain: states outside
             // Prob1 and Prob1 states with a choice that leaves it.
@@ -157,22 +177,38 @@ fn bounds_and_prob1_are_bit_identical_to_the_recorded_golden() {
                 "{name}: no Prob1 state has a leaving choice"
             );
         }
-        for (&m, w) in p1.iter().zip(&witness) {
+        for &m in &p1 {
             h.word(u64::from(m));
-            h.word(w.map_or(u64::MAX, |c| c as u64));
-        }
-        for kind in [ValueKind::ExpectedCycles, ValueKind::Reachability] {
-            let cert = compute_bounds(&art, kind, CERTIFICATE_EPSILON, BOUNDS_MAX_ITERATIONS);
-            assert!(cert.converged, "{name} {kind:?}: width {}", cert.width);
-            assert!(verify_bounds(&art, &cert).is_empty(), "{name} {kind:?}");
-            for (lo, hi) in cert.lo.iter().zip(&cert.hi) {
-                h.word(lo.to_bits());
-                h.word(hi.to_bits());
-            }
-            h.word(cert.iterations as u64);
-            h.word(u64::from(cert.converged));
-            h.word(cert.width.to_bits());
         }
     }
-    assert_eq!(h.0, GOLDEN, "golden {:#018x}", h.0);
+    assert_eq!(h.0, PROB1_GOLDEN, "golden {:#018x}", h.0);
+}
+
+#[test]
+fn pmax_bounds_are_bit_identical_to_the_recorded_golden() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (name, _, mdp) in models() {
+        let art = ModelArtifact::from(&mdp);
+        let cert = pmax_bounds(&art, CERTIFICATE_EPSILON, BOUNDS_MAX_ITERATIONS);
+        assert!(cert.converged, "{name}: width {}", cert.width);
+        assert!(verify_bounds(&art, &cert).is_empty(), "{name}");
+        hash_cert(&mut h, &cert);
+    }
+    assert_eq!(h.0, PMAX_GOLDEN, "golden {:#018x}", h.0);
+}
+
+#[test]
+fn rmin_certificate_is_bit_identical_to_the_recorded_golden() {
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    for (name, _, mdp) in models() {
+        let art = ModelArtifact::from(&mdp);
+        let solved = min_expected_cycles(&mdp, SolverOptions::default());
+        let eval = evaluate_strategy(&art, &solved.choice, ValueKind::ExpectedCycles)
+            .unwrap_or_else(|v| panic!("{name}: {v:?}"));
+        let cert = strategy_bounds(&eval, CERTIFICATE_EPSILON);
+        assert!(cert.converged, "{name}: width {}", cert.width);
+        assert!(verify_bounds(&art, &cert).is_empty(), "{name}");
+        hash_cert(&mut h, &cert);
+    }
+    assert_eq!(h.0, RMIN_GOLDEN, "golden {:#018x}", h.0);
 }

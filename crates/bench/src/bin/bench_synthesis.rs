@@ -32,7 +32,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use meda_audit::{
-    compute_bounds, verify_bounds, ModelArtifact, ValueKind, BOUNDS_MAX_ITERATIONS,
+    evaluate_strategy, strategy_bounds, verify_bounds, ModelArtifact, ValueKind,
     CERTIFICATE_EPSILON,
 };
 use meda_bench::{banner, header, row, BenchReport};
@@ -255,19 +255,16 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
         cold.converged && gs.converged,
         "cold solves did not converge"
     );
-    // The sound certification pass: certified [lo, hi] interval-iteration
-    // bounds over the MEC quotient plus the from-scratch re-verification —
-    // the full cost of turning the Rmin answer into a value claim
+    // The sound certification pass: the [lo, hi] certificate read off the
+    // shipped strategy's exact value plus the from-scratch re-verification
+    // — the full cost of turning the Rmin answer into a value claim
     // (DESIGN.md §14). Verification is timed too because `meda audit
     // --sound` always runs both.
     let artifact = ModelArtifact::from(&mdp);
     let (certify_ms, cert) = best_of(reps, || {
-        let cert = compute_bounds(
-            &artifact,
-            ValueKind::ExpectedCycles,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let eval = evaluate_strategy(&artifact, &cold.choice, ValueKind::ExpectedCycles)
+            .expect("the cold strategy evaluates");
+        let cert = strategy_bounds(&eval, CERTIFICATE_EPSILON);
         assert!(
             verify_bounds(&artifact, &cert).is_empty(),
             "fresh bounds failed their own re-verification"
@@ -382,9 +379,10 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
                    topological default replaced, solve_cold_ms that default; \
                    construct_solve_speedup = \
                    (construct_csr + solve_gs) / (construct_csr + solve_cold); \
-                   certify_ms is the sound certification pass (interval-iteration \
-                   bounds over the MEC quotient plus from-scratch re-verification, \
-                   DESIGN.md \u{a7}14) and certify_width the certified interval width; \
+                   certify_ms is the sound certification pass (the Rmin certificate \
+                   read off the cold strategy's exact value plus from-scratch \
+                   re-verification, DESIGN.md \u{a7}14) and certify_width the certified \
+                   interval width; \
                    resolve_* re-solve the same geometry on a degraded field, cold vs \
                    warm-started from the healthy-field values (default engine and \
                    prioritized sweeping)"

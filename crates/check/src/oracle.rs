@@ -23,8 +23,9 @@
 //!    relocation can only add completions (one carve-out for a relocation
 //!    eating the shared cycle budget).
 //! 5. [`bounds_bracket_solver`] — for every generated routing model, the
-//!    sound certification pass (`meda-audit` interval iteration over the
-//!    MEC quotient) must converge to width `≤ 2ε`, survive its own
+//!    sound certification pass (`meda-audit`: interval iteration over the
+//!    MEC quotient for `Pmax`, the shipped strategy's exact value for
+//!    `Rmin`) must converge to width `≤ 2ε`, survive its own
 //!    from-scratch re-verification, and bracket both the solver's value
 //!    vectors and the exact induced-chain value of its strategy — for
 //!    `Pmax` and `Rmin` alike.
@@ -1102,8 +1103,9 @@ pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
 /// Oracle 5: the sound certification pass must bracket the solver.
 ///
 /// Builds the scenario's reference MDP, solves `Pmax` and `Rmin`, and runs
-/// [`audit_solution_sound`] on each solution: the interval-iteration
-/// bounds must verify from scratch, the solver's values must lie inside
+/// [`audit_solution_sound`] on each solution: the certificate (`Pmax`
+/// interval iteration; `Rmin` read off the shipped strategy's exact
+/// value) must verify from scratch, the solver's values must lie inside
 /// `[lo, hi]`, the exact induced-chain value of the shipped strategy must
 /// too, and the certificate must have converged to width `≤ 2ε`. A
 /// failure here means the solver and the certifier disagree about a value
@@ -1358,8 +1360,8 @@ pub fn check_reconfig_dominance(config: &Config) -> SuiteOutcome {
 }
 
 /// Runs oracle 5 over generated scenarios. Each case runs two solves plus
-/// two interval-iteration certifications of the same model, so it gets a
-/// quarter of the case budget (see [`run_suite`]).
+/// two certifications of the same model, so it gets a quarter of the case
+/// budget (see [`run_suite`]).
 #[must_use]
 pub fn check_bounds_bracket_solver(config: &Config) -> SuiteOutcome {
     let gen = routing_scenario(4, 8);

@@ -10,7 +10,8 @@
 //! constant vector is a fixed point of the restricted operator, so value
 //! iteration *from above* can stall at a spurious value. Collapsing each
 //! MEC to a single quotient state restores a unique fixed point and makes
-//! interval iteration sound ([`meda-audit`'s bounds pass] consumes this).
+//! interval iteration sound ([`meda-audit`'s `Pmax` bounds pass] consumes
+//! this).
 //!
 //! The decomposition here is purely structural — it reads only the CSR
 //! offset/target arrays, never probabilities or values — so `meda-audit`
@@ -67,15 +68,6 @@ impl MecDecomposition {
     #[must_use]
     pub fn states_in_mecs(&self) -> usize {
         self.members.len()
-    }
-
-    /// Size of the largest MEC (0 when there are none).
-    #[must_use]
-    pub fn largest(&self) -> usize {
-        (0..self.mecs())
-            .map(|k| self.members_of(k).len())
-            .max()
-            .unwrap_or(0)
     }
 }
 

@@ -14,10 +14,13 @@
 
 use meda_audit::{
     audit_model, audit_solution, audit_solution_sound, audit_strategy, bellman_certificate,
-    compute_bounds, verify_bounds, BoundsCertificate, ModelArtifact, ValueKind, Violation,
-    BOUNDS_MAX_ITERATIONS, CERTIFICATE_EPSILON,
+    evaluate_strategy, strategy_bounds, verify_bounds, BoundsCertificate, ModelArtifact, ValueKind,
+    Violation, CERTIFICATE_EPSILON,
 };
-use meda_core::{Action, ActionConfig, HazardHandling, RawField, RoutingMdp, UniformField};
+use meda_core::{
+    Action, ActionConfig, HazardHandling, HealthField, RawField, RoutingMdp, UniformField,
+};
+use meda_degradation::HealthLevel;
 use meda_grid::{ChipDims, Grid, Rect};
 use meda_rng::{Rng, SeedableRng, StdRng};
 use meda_synth::{max_reach_probability, min_expected_cycles_with_reach, SolverOptions};
@@ -444,10 +447,10 @@ fn sound_pass_certifies_every_pristine_fixture() {
 }
 
 // ---------------------------------------------------------------------------
-// Bound-certificate corpus: forged interval certificates and off-policy
-// strategy redirects must be rejected by the sound pass, which re-derives
-// every claim from scratch (MEC quotient, monotone backups, exact
-// induced-chain evaluation).
+// Bound-certificate corpus: forged interval certificates, off-policy
+// strategy redirects and improper strategies must be rejected by the sound
+// pass, which re-derives every claim from scratch (MEC quotient, monotone
+// backups, exact induced-chain evaluation).
 // ---------------------------------------------------------------------------
 
 /// One-step factored `Rmin` backup of a *specific* choice `c` at state `i`
@@ -479,16 +482,15 @@ fn forged_bound_certificates_are_rejected() {
     // (claims the strategy needs more cycles than it provably can), a
     // deflated upper bound (claims cheaper than possible), and a crossed
     // interval. verify_bounds must catch each one from the certificate
-    // alone — it never sees which field was touched.
+    // alone — it never sees which field was touched. The fresh certificate
+    // is the one the sound pass builds: read off the solver's strategy.
     let mut checked = 0usize;
     for (name, mdp) in fixtures() {
         let artifact = ModelArtifact::from(&mdp);
-        let cert = compute_bounds(
-            &artifact,
-            ValueKind::ExpectedCycles,
-            CERTIFICATE_EPSILON,
-            BOUNDS_MAX_ITERATIONS,
-        );
+        let (_, cycles) = solve_both(&mdp, SolverOptions::default());
+        let eval = evaluate_strategy(&artifact, &cycles.choice, ValueKind::ExpectedCycles)
+            .unwrap_or_else(|v| panic!("{name}: the solver's strategy fails evaluation: {v:?}"));
+        let cert = strategy_bounds(&eval, CERTIFICATE_EPSILON);
         assert!(cert.converged, "{name}: fresh bounds did not converge");
         assert!(
             verify_bounds(&artifact, &cert).is_empty(),
@@ -546,11 +548,12 @@ fn forged_bound_certificates_are_rejected() {
 
 #[test]
 fn off_policy_strategy_redirect_is_rejected_by_the_sound_pass() {
-    // Redirect the strategy at a closure state to an enabled-but-worse
-    // action. The plain closure audit cannot see it (the action is legal
-    // and the walk stays total); the sound pass evaluates the induced
-    // chain exactly and must find the attained value outside the
-    // certified interval.
+    // Redirect the strategy at a closure state to an enabled but strictly
+    // worse action. The plain closure audit cannot see it (the
+    // action is legal and the walk stays total). The sound pass builds its
+    // certificate from the redirected strategy's exact value, so the
+    // verifier must refute the lower bound: one backup through the
+    // original action improves on it.
     let mut applicable = 0usize;
     for (name, mdp) in fixtures() {
         let artifact = ModelArtifact::from(&mdp);
@@ -602,14 +605,127 @@ fn off_policy_strategy_redirect_is_rejected_by_the_sound_pass() {
                 report
                     .violations
                     .iter()
-                    .any(|vi| matches!(vi, Violation::StrategyValueOutsideBounds { .. })),
-                "{name}/seed{seed}: off-policy redirect at state {i} survived the sound pass"
+                    .any(|vi| matches!(vi, Violation::BoundUnsound { upper: false, .. })),
+                "{name}/seed{seed}: off-policy redirect at state {i} survived the verifier:\n{report}"
             );
         }
     }
     assert!(
         applicable >= 3,
         "only {applicable} fixtures offered a worse enabled action"
+    );
+}
+
+#[test]
+fn improper_two_cycle_strategy_is_rejected_by_the_sound_pass() {
+    // Point two neighbouring closure states at each other: each picks an
+    // action whose every outcome lands on the pair, so the chain never
+    // leaves it and the strategy's value there is ∞, although both states
+    // can reach the goal almost surely.
+    let mut applicable = 0usize;
+    for (name, mdp) in fixtures() {
+        let artifact = ModelArtifact::from(&mdp);
+        let (_, cycles) = solve_both(&mdp, SolverOptions::default());
+        // The first enabled action at `i` whose outcomes all stay in {i, j}.
+        let onto = |i: usize, j: usize| {
+            artifact
+                .choice_range(i)
+                .find(|&c| {
+                    artifact.branch_range(c).all(|b| {
+                        let t = artifact.branch_target[b] as usize;
+                        t == i || t == j
+                    }) && artifact
+                        .branch_range(c)
+                        .any(|b| artifact.branch_target[b] as usize == j)
+                })
+                .map(|c| artifact.choice_action[c])
+        };
+        let closure = strategy_closure(&artifact, &cycles.choice);
+        let pair = closure
+            .iter()
+            .filter(|&&i| cycles.values[i].is_finite() && !artifact.goal_flags[i])
+            .find_map(|&i| {
+                artifact.choice_range(i).find_map(|c| {
+                    artifact.branch_range(c).find_map(|b| {
+                        let j = artifact.branch_target[b] as usize;
+                        let (to_j, to_i) = (onto(i, j)?, onto(j, i)?);
+                        (j != i).then_some((i, j, to_j, to_i))
+                    })
+                })
+            });
+        let Some((i, j, to_j, to_i)) = pair else {
+            continue;
+        };
+        applicable += 1;
+        let mut choice = cycles.choice.clone();
+        choice[i] = Some(to_j);
+        choice[j] = Some(to_i);
+        let (report, cert) = audit_solution_sound(
+            &artifact,
+            &cycles.values,
+            &choice,
+            ValueKind::ExpectedCycles,
+            CERTIFICATE_EPSILON,
+        );
+        let cert = cert.expect("the improper strategy still evaluates");
+        assert!(
+            cert.hi[i].is_infinite(),
+            "{name}: the 2-cycle must evaluate to ∞"
+        );
+        assert!(
+            report
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::StrategyImproper { .. })),
+            "{name}: the 2-cycle {i} <-> {j} survived the sound pass:\n{report}"
+        );
+    }
+    assert!(
+        applicable >= 3,
+        "only {applicable} fixtures offered a 2-cycle"
+    );
+}
+
+#[test]
+fn near_stuck_paper_scale_field_certifies_within_two_epsilon() {
+    // A 60×60 area, 3×3 droplet, on a field of health levels 1–2 (3 bits):
+    // the value at init is about 1,609 cycles, where a fixed relative
+    // half-width of 1e-9 would give a width of at least 3.2e-6 > 2ε. The
+    // half-width capped at ε / max v certifies it.
+    let (aw, ah, d) = (60u32, 60u32, 3u32);
+    let mut rng = StdRng::seed_from_u64(1);
+    let dims = ChipDims::new(aw + 2, ah + 2);
+    let grid = Grid::from_fn(dims, |_| {
+        HealthLevel::new(1 + rng.gen_range(0..2u32) as u8, 3)
+    });
+    let mdp = RoutingMdp::build(
+        Rect::with_size(1, 1, d, d),
+        Rect::with_size((aw - d + 1) as i32, (ah - d + 1) as i32, d, d),
+        Rect::new(1, 1, aw as i32, ah as i32),
+        &HealthField::new(grid, 3),
+        &ActionConfig::moves_only(),
+    )
+    .expect("60x60 model builds");
+    let artifact = ModelArtifact::from(&mdp);
+    let (_, cycles) = solve_both(&mdp, SolverOptions::default());
+    let init = cycles.values[artifact.init];
+    assert!(
+        init > 1_050.0,
+        "value at init {init} no longer exercises the cap"
+    );
+    let (report, cert) = audit_solution_sound(
+        &artifact,
+        &cycles.values,
+        &cycles.choice,
+        ValueKind::ExpectedCycles,
+        CERTIFICATE_EPSILON,
+    );
+    assert!(report.is_clean(), "{report}");
+    let cert = cert.expect("a clean report carries its certificate");
+    assert!(
+        cert.converged && cert.width <= 2.0 * CERTIFICATE_EPSILON,
+        "width {}",
+        cert.width
     );
 }
 

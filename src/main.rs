@@ -362,10 +362,11 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
 /// Audits every routed job of an assay: structural well-formedness of the
 /// induced MDP, then a Bellman-residual certificate over the Pmax and Rmin
 /// value vectors and a closure check on the synthesized strategy. With
-/// `--sound`, additionally computes certified `[lo, hi]` interval-iteration
-/// bounds over the MEC quotient, re-verifies them from scratch, and checks
-/// that the shipped strategy's exact induced-chain value lies inside the
-/// interval (DESIGN.md §14). The pseudo-assay `selftest-unsound` replays a
+/// `--sound`, additionally certifies `[lo, hi]` bounds (`Pmax`: interval
+/// iteration over the MEC quotient; `Rmin`: read off the shipped
+/// strategy's exact induced-chain value), re-verifies them from scratch,
+/// and checks that the strategy's exact value lies inside the interval
+/// (DESIGN.md §14). The pseudo-assay `selftest-unsound` replays a
 /// packaged end-component trap the residual certificate provably accepts:
 /// it must pass the plain audit and be rejected under `--sound`, which is
 /// what the CI `audit-sound-selftest` stage asserts. Exits nonzero if any
@@ -433,20 +434,27 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             audited += 1;
             if report.is_clean() {
                 if let Some(cert) = &cert {
-                    let attained = evaluate_strategy(&artifact, &result.choice, kind)
-                        .map_or(f64::NAN, |eval| eval.values[artifact.init]);
+                    let eval = evaluate_strategy(&artifact, &result.choice, kind).ok();
+                    let attained = eval.as_ref().map_or(f64::NAN, |e| e.values[artifact.init]);
+                    let method = match kind {
+                        ValueKind::Reachability => {
+                            format!("{} iterations, {} MECs", cert.iterations, cert.mecs)
+                        }
+                        ValueKind::ExpectedCycles => format!(
+                            "from the strategy's exact value, largest chain block {}",
+                            eval.map_or(0, |e| e.largest_block)
+                        ),
+                    };
                     println!(
                         "job {index} {} -> {} [{kind:?}]: sound \
                          (init in [{:.9}, {:.9}], width {:.3e} <= 2eps, \
-                         strategy attains {:.9}, {} iterations, {} MECs)",
+                         strategy attains {:.9}, {method})",
                         job.start,
                         job.goal,
                         cert.lo[artifact.init],
                         cert.hi[artifact.init],
                         cert.width,
                         attained,
-                        cert.iterations,
-                        cert.mecs
                     );
                 } else {
                     println!(
