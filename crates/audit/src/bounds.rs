@@ -28,8 +28,9 @@
 //!   single-step deviation improves on `v_π` — that is, the strategy is
 //!   optimal to within the verification slack. The one claim the backups
 //!   cannot refute, `[∞, ∞]` on a loop inside `Prob1` whose every choice
-//!   re-enters it, is caught by [`crate::audit_strategy_value`]. The
-//!   solver's values are never read.
+//!   re-enters it, is rejected outright: the true value is finite on
+//!   every `Prob1` state, so `lo = ∞` there is unsound. The solver's
+//!   values are never read.
 //!
 //! Either way the certified width is at most `2ε`, so reporting the
 //! midpoint is within `ε` of the truth — a claim about the *value*, not
@@ -148,8 +149,9 @@ pub fn strategy_bounds(eval: &StrategyEvaluation, epsilon: f64) -> BoundsCertifi
 ///   onto the MEC quotient, is a post-fixed point of the quotient
 ///   operator, whose fixed point is unique (`lo ≤ T_q(lo)` ⟹ `lo ≤ v*`);
 /// - `Rmin`: `hi` must be `∞` exactly outside the `Prob1` set, and on it
-///   both bounds must satisfy the corresponding inequality of the
-///   `Prob1`-restricted operator (unique fixed point under unit costs);
+///   `lo` must be finite and both bounds must satisfy the corresponding
+///   inequality of the `Prob1`-restricted operator (unique fixed point
+///   under unit costs);
 /// - the final width must meet the `2ε` target.
 #[must_use]
 pub fn verify_bounds(art: &ModelArtifact, cert: &BoundsCertificate) -> Vec<Violation> {
@@ -298,31 +300,26 @@ fn can_reach_goal(art: &ModelArtifact) -> Vec<bool> {
 }
 
 /// The `Prob1` set — states with a strategy reaching the goal almost
-/// surely — by the standard greatest/least double fixed point, plus a
-/// *witness* choice per member recorded in the final inner pass. The
-/// witness policy is proper: every recorded choice keeps all its branches
-/// inside the set and has positive probability of progressing toward a
-/// state added earlier, so following it reaches the goal with
-/// probability 1.
+/// surely — by the standard greatest/least double fixed point: a state
+/// joins the inner set once some choice keeps all its branches inside the
+/// outer set and reaches a state that joined earlier with positive
+/// probability.
 ///
-/// Returns the membership flags and the witness choice index per state
-/// (`None` for goal states and non-members). The artifact must have
-/// passed [`crate::audit_model`].
+/// Returns the membership flags. The artifact must have passed
+/// [`crate::audit_model`].
 #[must_use]
-pub fn prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
+pub fn prob1(art: &ModelArtifact) -> Vec<bool> {
     let n = art.states;
     let (pred_start, pred) = predecessors(art);
     let mut checks = 0u64;
     let mut u = vec![true; n];
     loop {
         let mut v = art.goal_flags.clone();
-        let mut witness = vec![None; n];
         // A check reads `u` (fixed for this inner fixed point) and `v` at
         // the state's successors, so a state that failed stays failed
         // until one of its successors joins `v`: only `dirty` states are
         // re-checked. Passes still run in index order, so every state
-        // joins in the same pass, after the same predecessors, with the
-        // same witness as under a full re-check.
+        // joins in the same pass as under a full re-check.
         let mut dirty = vec![true; n];
         loop {
             let mut changed = false;
@@ -331,11 +328,10 @@ pub fn prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
                     continue;
                 }
                 checks += 1;
-                let Some(c) = progress_choice(art, &u, &v, i) else {
+                if !has_progress_choice(art, &u, &v, i) {
                     continue;
-                };
+                }
                 v[i] = true;
-                witness[i] = Some(c);
                 changed = true;
                 for &p in &pred[pred_start[i] as usize..pred_start[i + 1] as usize] {
                     dirty[p as usize] = true;
@@ -347,16 +343,16 @@ pub fn prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
         }
         if v == u {
             meda_telemetry::global().add("audit.prob1.checks", checks);
-            return (v, witness);
+            return v;
         }
         u = v;
     }
 }
 
-/// The first choice of state `i` whose branches all stay in `u` and one
-/// of which enters `v` — the step of the `Prob1` inner fixed point.
-fn progress_choice(art: &ModelArtifact, u: &[bool], v: &[bool], i: usize) -> Option<usize> {
-    art.choice_range(i).find(|&c| {
+/// Whether some choice of state `i` has all its branches in `u` and one
+/// of them in `v` — the step of the `Prob1` inner fixed point.
+fn has_progress_choice(art: &ModelArtifact, u: &[bool], v: &[bool], i: usize) -> bool {
+    art.choice_range(i).any(|c| {
         let mut some_in_v = false;
         for b in art.branch_range(c) {
             let t = art.branch_target[b] as usize;
@@ -420,7 +416,7 @@ fn pmax_quotient(art: &ModelArtifact, mec: &MecDecomposition) -> PmaxQuotient {
     // mutually almost-surely reachable), is well-defined per quotient
     // state — derive it from the first member.
     let reach = can_reach_goal(art);
-    let (p1, _) = prob1(art);
+    let p1 = prob1(art);
     let mut pin = vec![None; qn];
     for (q, p) in pin.iter_mut().enumerate() {
         let first = q_members[q_start[q] as usize] as usize;
@@ -674,7 +670,7 @@ fn rmin_restricted_backup(art: &ModelArtifact, p1: &[bool], values: &[f64], i: u
 
 fn verify_rmin(art: &ModelArtifact, cert: &BoundsCertificate, violations: &mut Vec<Violation>) {
     let n = art.states;
-    let (p1, _) = prob1(art);
+    let p1 = prob1(art);
     for i in 0..n {
         if !p1[i] {
             // No almost-surely-reaching strategy exists: the true value is
@@ -700,7 +696,11 @@ fn verify_rmin(art: &ModelArtifact, cert: &BoundsCertificate, violations: &mut V
             });
         }
         let t_lo = rmin_restricted_backup(art, &p1, &cert.lo, i);
-        if cert.lo[i] > t_lo + slack(cert.lo[i]) {
+        // The true value is finite on every `Prob1` state, so `lo = ∞`
+        // over-claims it even where the backup cannot refute it: on a
+        // loop inside `Prob1` whose every choice re-enters it, the backup
+        // of `∞` is `∞` again.
+        if cert.lo[i].is_infinite() || cert.lo[i] > t_lo + slack(cert.lo[i]) {
             violations.push(Violation::BoundUnsound {
                 upper: false,
                 state: i,
@@ -771,12 +771,11 @@ mod tests {
 
     /// The full-pass `Prob1` that [`prob1`] replaced: every inner pass
     /// re-checks every candidate state.
-    fn reference_prob1(art: &ModelArtifact) -> (Vec<bool>, Vec<Option<usize>>) {
+    fn reference_prob1(art: &ModelArtifact) -> Vec<bool> {
         let n = art.states;
         let mut u = vec![true; n];
         loop {
             let mut v = vec![false; n];
-            let mut witness = vec![None; n];
             for (i, &goal) in art.goal_flags.iter().enumerate() {
                 if goal {
                     v[i] = true;
@@ -803,7 +802,6 @@ mod tests {
                         }
                         if all_in_u && some_in_v {
                             v[i] = true;
-                            witness[i] = Some(c);
                             changed = true;
                             break;
                         }
@@ -814,7 +812,7 @@ mod tests {
                 }
             }
             if v == u {
-                return (v, witness);
+                return v;
             }
             u = v;
         }

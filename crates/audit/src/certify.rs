@@ -3,8 +3,8 @@
 //! A value-iteration result can be *checked* independently of how it was
 //! produced: the certificate applies one exact backup of the claimed
 //! Bellman operator `T` and reports `max_i |T(v)_i − v_i|` — a
-//! warm-started solve that took a completely different trajectory through
-//! value space gets the same residual as a cold one.
+//! Gauss–Seidel solve and a topological one take completely different
+//! trajectories through value space and get the same residual.
 //!
 //! **Scope of the claim.** A small residual proves `v` is an
 //! ε-*fixed-point* of `T`; it does **not** bound the distance to the true

@@ -237,8 +237,9 @@ pub fn evaluate_strategy(
 /// `ε`-converged solve plus the verification slack. And the strategy must
 /// be proper wherever some strategy is: an infinite `Rmin` value on a
 /// `Prob1` state is [`Violation::StrategyImproper`]. (A loop inside
-/// `Prob1` whose every choice re-enters it certifies as `[∞, ∞]`, which
-/// the backups of [`crate::verify_bounds`] cannot refute.)
+/// `Prob1` whose every choice re-enters it certifies as `[∞, ∞]`;
+/// [`crate::verify_bounds`] rejects that certificate's `lo = ∞`, and this
+/// check names the strategy at fault.)
 #[must_use]
 pub fn audit_strategy_value(
     art: &ModelArtifact,
@@ -247,7 +248,7 @@ pub fn audit_strategy_value(
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
     if eval.values.iter().any(|v| v.is_infinite()) {
-        let (p1, _) = prob1(art);
+        let p1 = prob1(art);
         let improper = (0..art.states).find(|&i| p1[i] && eval.values[i].is_infinite());
         violations.extend(improper.map(|state| Violation::StrategyImproper { state }));
     }

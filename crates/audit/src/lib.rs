@@ -396,7 +396,9 @@ mod tests {
         // The strategy W, W shuttles forever: value ∞ at both, where the
         // truth is 2. Every choice at either state re-enters the pair, so
         // ∞ is a post-fixed point there and the certificate [∞, ∞] passes
-        // the verifier's backups; the improper-strategy check must catch it.
+        // the verifier's backups. The verifier must still reject `lo = ∞`
+        // on these Prob1 states, and the improper-strategy check must
+        // catch the strategy itself.
         let (east, west) = (
             Action::Move(meda_core::Dir::E),
             Action::Move(meda_core::Dir::W),
@@ -417,7 +419,16 @@ mod tests {
         let forged_values = vec![f64::INFINITY, f64::INFINITY, 0.0];
         let eval = evaluate_strategy(&art, &shuttle, ValueKind::ExpectedCycles).expect("evaluates");
         let cert = strategy_bounds(&eval, CERTIFICATE_EPSILON);
-        assert!(verify_bounds(&art, &cert).is_empty());
+        let infinite_lo = |state| Violation::BoundUnsound {
+            upper: false,
+            state,
+            value: f64::INFINITY,
+            backup: f64::INFINITY,
+        };
+        assert_eq!(
+            verify_bounds(&art, &cert),
+            vec![infinite_lo(0), infinite_lo(1)]
+        );
         let (report, _) = audit_solution_sound(
             &art,
             &forged_values,
@@ -427,7 +438,11 @@ mod tests {
         );
         assert_eq!(
             report.violations,
-            vec![Violation::StrategyImproper { state: 0 }]
+            vec![
+                infinite_lo(0),
+                infinite_lo(1),
+                Violation::StrategyImproper { state: 0 }
+            ]
         );
         // The gamble, E at both, is optimal and certifies.
         let gamble = vec![Some(east), Some(east), None];

@@ -385,6 +385,13 @@ impl fmt::Display for Violation {
                 backup,
             } => {
                 let side = if *upper { "upper" } else { "lower" };
+                if !*upper && value.is_infinite() {
+                    return write!(
+                        f,
+                        "lower bound {value} at state {state} claims an infinite value \
+                         where an almost-surely-reaching strategy exists"
+                    );
+                }
                 write!(
                     f,
                     "{side} bound {value} at state {state} fails its monotone backup \

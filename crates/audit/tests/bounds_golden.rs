@@ -164,7 +164,7 @@ fn prob1_membership_is_bit_identical_to_the_recorded_golden() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for (name, degraded, mdp) in models() {
         let art = ModelArtifact::from(&mdp);
-        let (p1, _) = prob1(&art);
+        let p1 = prob1(&art);
         if degraded {
             // The set must exercise the restricted domain: states outside
             // Prob1 and Prob1 states with a choice that leaves it.

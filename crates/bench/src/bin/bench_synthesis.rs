@@ -16,8 +16,9 @@
 //! ([`SolverMethod::GaussSeidel`]) and the structure-aware default
 //! (topological value iteration over the SCC condensation) — and reports
 //! `construct_solve_speedup`, the construct+solve wall-clock ratio of
-//! baseline over default engine. Warm re-solves on a degraded field run
-//! both the default engine and prioritized sweeping.
+//! baseline over default engine. A re-solve of the same geometry on a
+//! degraded field times the mid-job re-synthesis, which runs the same cold
+//! default engine.
 //!
 //! Run with `--smoke` for a single small cell (CI wiring); full mode
 //! sweeps the paper-scale matrix (Table V geometries up to 90×90) and
@@ -162,8 +163,7 @@ fn build_hashmap_baseline(
 /// Deterministic non-uniform health matrix — synthesis always plans on a
 /// [`HealthField`], so that is the representative construction workload.
 /// `wear` shifts every reading down one bin, modelling mid-job
-/// degradation (pointwise, so healthy values stay a valid warm-start
-/// lower bound for the degraded re-solve).
+/// degradation.
 fn planning_field(area: (u32, u32), wear: u8) -> HealthField {
     const BITS: u8 = 3;
     // Two cells of margin so frontier lookups beyond the routing bounds
@@ -217,10 +217,6 @@ struct CellResult {
     construct_solve_speedup: f64,
     resolve_cold_ms: f64,
     resolve_cold_iterations: usize,
-    resolve_warm_ms: f64,
-    resolve_warm_iterations: usize,
-    resolve_warm_pq_ms: f64,
-    resolve_warm_pq_iterations: usize,
 }
 
 fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult {
@@ -289,59 +285,13 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
     let construct_solve_speedup =
         (construct_csr_ms + solve_gs_ms) / (construct_csr_ms + solve_cold_ms);
 
-    // Mid-job re-synthesis: same geometry on a degraded field, seeded with
-    // the healthy values (a pointwise lower bound — health only decays).
+    // Mid-job re-synthesis: the same geometry on a degraded field.
     let mdp2 =
         RoutingMdp::build(start, goal, bounds, &degraded, &config).expect("consistent geometry");
-    let seed: Vec<f64> = (0..mdp2.len())
-        .map(|i| {
-            mdp2.state_index(mdp2.state(i))
-                .and_then(|_| mdp.state_index(mdp2.state(i)))
-                .map_or(0.0, |j| cold.values[j])
-        })
-        .collect();
     let (resolve_cold_ms, cold2) = best_of(reps, || {
         min_expected_cycles(&mdp2, SolverOptions::default())
     });
-    let (resolve_warm_ms, warm2) = best_of(reps, || {
-        min_expected_cycles(
-            &mdp2,
-            SolverOptions {
-                warm_start: Some(seed.clone()),
-                ..SolverOptions::default()
-            },
-        )
-    });
-    // The seed replaces the from-above ∞ start, and on ordinal models a
-    // from-below ascent burns down the seed gap geometrically at the
-    // partial-branch rate — slower at paper scale than the from-above
-    // start's near-exact first sweep. Warm full re-solves are therefore
-    // *measured* (the matrix shows cold winning), not asserted faster;
-    // the contract is fixed-point agreement.
-    assert!(
-        cold2.converged && warm2.converged,
-        "degraded re-solves did not converge"
-    );
-    for (c, w) in cold2.values.iter().zip(&warm2.values) {
-        assert!(
-            (!c.is_finite() && !w.is_finite()) || (c - w).abs() <= 1e-6,
-            "warm re-solve disagrees with cold ({c} vs {w})"
-        );
-    }
-    // The same warm re-solve through prioritized sweeping — the method's
-    // home turf is *local* patches; on this global-wear scenario it is
-    // measured, not asserted faster.
-    let (resolve_warm_pq_ms, warm_pq) = best_of(reps, || {
-        min_expected_cycles(
-            &mdp2,
-            SolverOptions {
-                method: SolverMethod::Prioritized,
-                warm_start: Some(seed.clone()),
-                ..SolverOptions::default()
-            },
-        )
-    });
-    assert!(warm_pq.converged, "prioritized re-solve did not converge");
+    assert!(cold2.converged, "degraded re-solve did not converge");
 
     CellResult {
         area,
@@ -361,10 +311,6 @@ fn measure_cell(area: (u32, u32), droplet: (u32, u32), reps: u32) -> CellResult 
         construct_solve_speedup,
         resolve_cold_ms,
         resolve_cold_iterations: cold2.iterations,
-        resolve_warm_ms,
-        resolve_warm_iterations: warm2.iterations,
-        resolve_warm_pq_ms,
-        resolve_warm_pq_iterations: warm_pq.iterations,
     }
 }
 
@@ -383,9 +329,8 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
                    read off the cold strategy's exact value plus from-scratch \
                    re-verification, DESIGN.md \u{a7}14) and certify_width the certified \
                    interval width; \
-                   resolve_* re-solve the same geometry on a degraded field, cold vs \
-                   warm-started from the healthy-field values (default engine and \
-                   prioritized sweeping)"
+                   resolve_cold_* re-solve the same geometry on a degraded field with \
+                   the default engine, as mid-job re-synthesis does"
         .to_string();
     for c in results {
         let cell = format!(
@@ -425,16 +370,6 @@ fn to_report(results: &[CellResult], mode: &str) -> BenchReport {
             format!("{cell}.resolve_cold_iterations"),
             c.resolve_cold_iterations as f64,
         );
-        report.push(format!("{cell}.resolve_warm_ms"), c.resolve_warm_ms);
-        report.push(
-            format!("{cell}.resolve_warm_iterations"),
-            c.resolve_warm_iterations as f64,
-        );
-        report.push(format!("{cell}.resolve_warm_pq_ms"), c.resolve_warm_pq_ms);
-        report.push(
-            format!("{cell}.resolve_warm_pq_iterations"),
-            c.resolve_warm_pq_iterations as f64,
-        );
     }
     report
 }
@@ -448,7 +383,7 @@ fn main() {
     banner(
         "Synthesis performance — HashMap baseline vs dense-index/CSR builder",
         "Per Table V cell: model size, construction time under both state\n\
-         indexes, and cold vs warm-started Rmin solve. Fastest of N runs.",
+         indexes, and cold Rmin solves. Fastest of N runs.",
     );
 
     // Paper-scale matrix (full mode): the Table V geometries scaled up to

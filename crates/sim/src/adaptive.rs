@@ -6,9 +6,7 @@ use meda_core::{
     hazard_digest, Action, ActionConfig, HazardBox, HazardedField, HealthField, RoutingMdp,
 };
 use meda_grid::Rect;
-use meda_synth::{
-    synthesize, synthesize_with, LibraryKey, Query, RoutingStrategy, SolverOptions, StrategyLibrary,
-};
+use meda_synth::{synthesize, LibraryKey, Query, RoutingStrategy, StrategyLibrary};
 
 use crate::Router;
 
@@ -58,7 +56,9 @@ impl AdaptiveConfig {
 /// from the current health matrix, synthesizes an optimal strategy
 /// (Algorithm 2), and follows it; when the sensed health within the hazard
 /// bounds changes, it re-synthesizes (Algorithm 3's hybrid scheduling,
-/// with the [`StrategyLibrary`] serving repeat jobs).
+/// with the [`StrategyLibrary`] serving repeat jobs). Every synthesis, at
+/// job start or mid-job, is the same cold solve on the current field:
+/// nothing from the superseded strategy seeds it.
 ///
 /// If the `Rmin` query is infeasible (the goal is not almost-surely
 /// reachable, e.g. a fault cluster blocks the only corridor), the router
@@ -81,13 +81,6 @@ pub struct AdaptiveRouter {
     /// which case every digest and synthesis below reduces byte-identically
     /// to the hazard-free behaviour.
     hazards: Vec<HazardBox>,
-    /// Whether the superseded strategy's values still lower-bound the next
-    /// Rmin fixed point. Health only degrades, so this is normally true —
-    /// but *releasing* a hazard box improves the field, and a warm seed
-    /// above the new fixed point would trip the solver's soundness guard.
-    /// Cleared by a weakening [`AdaptiveRouter::set_hazards`], restored by
-    /// the next completed synthesis.
-    warm_valid: bool,
 }
 
 impl AdaptiveRouter {
@@ -106,14 +99,13 @@ impl AdaptiveRouter {
             resynth_count: 0,
             synthesis_time: Duration::ZERO,
             hazards: Vec::new(),
-            warm_valid: true,
         }
     }
 
     /// The combined health + hazard digest over `bounds` — the quantity
-    /// whose change triggers a (warm prioritized) re-solve. With no hazard
-    /// intersecting the bounds this is exactly the health digest, keeping
-    /// the serial path bit-identical.
+    /// whose change triggers a re-solve. With no hazard intersecting the
+    /// bounds this is exactly the health digest, keeping the serial path
+    /// bit-identical.
     fn scoped_digest(&mut self, health: &HealthField, bounds: Rect) -> u64 {
         let key = (health.stamp(), bounds);
         let digest = match self.health_digest {
@@ -139,7 +131,7 @@ impl AdaptiveRouter {
                 if job.is_dispense() || job.goal.contains_rect(job.start) {
                     continue;
                 }
-                if self.synthesize_for(job, job.start, health, None).is_some() {
+                if self.synthesize_for(job, job.start, health).is_some() {
                     stored += 1;
                 }
             }
@@ -172,7 +164,6 @@ impl AdaptiveRouter {
         job: &RoutingJob,
         start: Rect,
         health: &HealthField,
-        previous: Option<&RoutingStrategy>,
     ) -> Option<Arc<RoutingStrategy>> {
         // Peer-corridor hazards fold into the library key: a corridor
         // shift changes the digest exactly like a health change, so stale
@@ -188,15 +179,10 @@ impl AdaptiveRouter {
         if self.config.use_library {
             if let Some(hit) = self.library.get(&key) {
                 telemetry.add("synth.library.hits", 1);
-                // The hit was synthesized under a field with this very
-                // digest, so its values are consistent with the current
-                // field again.
-                self.warm_valid = true;
                 return Some(hit);
             }
             telemetry.add("synth.library.misses", 1);
         }
-        let previous = previous.filter(|_| self.warm_valid);
         let _job_span = telemetry.span("synth.job");
         let t0 = Instant::now();
         let result = (|| {
@@ -210,19 +196,7 @@ impl AdaptiveRouter {
                 };
             let mdp =
                 RoutingMdp::build(start, job.goal, job.bounds, field, &self.config.actions).ok()?;
-            let mut options = SolverOptions::default();
-            if self.config.query == Query::MinExpectedCycles {
-                // Re-synthesis after a health patch runs as a warm
-                // prioritized re-solve: health only degrades, so the
-                // superseded strategy's Rmin values lower-bound the new
-                // fixed point, and the priority queue drains only the
-                // patched region. Only valid for this query direction —
-                // Pmax seeds are rejected by the solver.
-                if let Some(prev) = previous.filter(|p| p.query() == Query::MinExpectedCycles) {
-                    options = SolverOptions::patched(Some(prev.warm_start_seed(&mdp)));
-                }
-            }
-            let strategy = synthesize_with(&mdp, self.config.query, options)
+            let strategy = synthesize(&mdp, self.config.query)
                 .or_else(|_| synthesize(&mdp, Query::MaxReachProbability))
                 .ok()?;
             if strategy.query() == Query::MaxReachProbability && strategy.value_at_init() <= 0.0 {
@@ -231,7 +205,6 @@ impl AdaptiveRouter {
             Some(strategy)
         })();
         self.synthesis_time += t0.elapsed();
-        self.warm_valid = true;
         let strategy = result?;
         if self.config.use_library {
             Some(self.library.insert(key, strategy))
@@ -248,7 +221,7 @@ impl Router for AdaptiveRouter {
 
     fn begin_job(&mut self, job: &RoutingJob, health: &HealthField) -> bool {
         self.digest = self.scoped_digest(health, job.bounds);
-        self.strategy = self.synthesize_for(job, job.start, health, None);
+        self.strategy = self.synthesize_for(job, job.start, health);
         self.job = Some(*job);
         self.strategy.is_some()
     }
@@ -259,12 +232,8 @@ impl Router for AdaptiveRouter {
             let digest = self.scoped_digest(health, job.bounds);
             if digest != self.digest {
                 self.digest = digest;
-                // Re-synthesize from the droplet's *current* location,
-                // warm-started from the superseded strategy's values.
-                let previous = self.strategy.clone();
-                if let Some(strategy) =
-                    self.synthesize_for(&job, droplet, health, previous.as_deref())
-                {
+                // Re-synthesize from the droplet's *current* location.
+                if let Some(strategy) = self.synthesize_for(&job, droplet, health) {
                     self.strategy = Some(strategy);
                     self.resynth_count += 1;
                 }
@@ -272,34 +241,21 @@ impl Router for AdaptiveRouter {
                 // worse than fresh, better than freezing.
             }
         }
-        let strategy = Arc::clone(self.strategy.as_ref()?);
-        strategy.decide(droplet).or_else(|| {
-            // The droplet drifted off the synthesized state set (e.g. a
-            // partial ordinal move under a stale strategy); re-synthesize
-            // from here, seeded with the stale strategy's values.
-            let refreshed = self.synthesize_for(&job, droplet, health, Some(&strategy))?;
-            let action = refreshed.decide(droplet);
-            self.strategy = Some(refreshed);
-            action
-        })
+        if let Some(action) = self.strategy.as_ref()?.decide(droplet) {
+            return Some(action);
+        }
+        // The droplet drifted off the synthesized state set (e.g. a partial
+        // ordinal move under a stale strategy); re-synthesize from here.
+        let refreshed = self.synthesize_for(&job, droplet, health)?;
+        let action = refreshed.decide(droplet);
+        self.strategy = Some(refreshed);
+        action
     }
 
     fn set_hazards(&mut self, boxes: &[HazardBox]) {
-        // A purely-strengthening shift (every old box survives at least as
-        // strongly) keeps the old values as valid Rmin lower bounds; any
-        // release or weakening forces the next synthesis to run cold.
-        let strengthening = self.hazards.iter().all(|o| {
-            boxes
-                .iter()
-                .any(|n| n.rect == o.rect && n.factor <= o.factor)
-        });
-        if !strengthening {
-            self.warm_valid = false;
-        }
         self.hazards = boxes.to_vec();
         // The next `next_action` sees a changed scoped digest and re-solves
-        // from the droplet's current position — warm via the prioritized
-        // sweep when the shift only tightened the field, cold otherwise.
+        // from the droplet's current position.
     }
 }
 
@@ -452,7 +408,7 @@ mod tests {
         let mut r = AdaptiveRouter::new(AdaptiveConfig::paper());
         assert!(r.begin_job(&job(), &health));
         // A peer corridor appears inside the bounds mid-job: the scoped
-        // digest changes and the next action re-solves warm.
+        // digest changes and the next action re-solves.
         r.set_hazards(&[meda_core::HazardBox::soft(Rect::new(6, 1, 9, 6), 0.3)]);
         let _ = r.next_action(Rect::new(2, 1, 4, 3), &health);
         assert_eq!(r.resynth_count(), 1);

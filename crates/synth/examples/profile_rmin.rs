@@ -2,7 +2,7 @@
 //! (90×90, 3×3 droplet) Rmin solve, comparing the Gauss–Seidel baseline
 //! against the topological engine and dumping the solver telemetry
 //! counters. Run with `cargo run --release -p meda-synth --example
-//! profile_rmin` when tuning sweep-order or queue heuristics — it is the
+//! profile_rmin` when tuning sweep-order heuristics — it is the
 //! quick inner loop the full bench matrix is too slow for.
 use std::time::Instant;
 
@@ -46,12 +46,7 @@ fn main() {
         );
     }
     let summary = meda_telemetry::global().summary();
-    for key in [
-        "synth.solve.sweeps.greedy",
-        "synth.solve.pq.pushes",
-        "synth.solve.pq.pops",
-        "synth.solve.confirm.retries",
-    ] {
+    for key in ["synth.solve.sweeps.greedy", "synth.solve.confirm.retries"] {
         println!("{key} = {:?}", summary.counter(key));
     }
 }

@@ -73,4 +73,4 @@ pub use solver::{
     max_reach_probability, min_expected_cycles, min_expected_cycles_with_reach, SolverMethod,
     SolverOptions, SolverResult,
 };
-pub use strategy::{synthesize, synthesize_with, RoutingStrategy, SynthesisError};
+pub use strategy::{synthesize, RoutingStrategy, SynthesisError};

@@ -1,7 +1,7 @@
 //! The value-iteration engine behind [`crate::synthesize`]:
 //! structure-aware sweeps over the routing MDP's CSR arrays.
 //!
-//! Three sweep methods share one `f64` Bellman kernel:
+//! Two sweep methods share one `f64` Bellman kernel:
 //!
 //! * [`SolverMethod::Topological`] — sweep the SCC condensation of the
 //!   transition graph in reverse topological order. Acyclic stretches
@@ -16,9 +16,6 @@
 //!   behaves like Howard policy iteration — a handful of sweeps at any
 //!   scale — without materializing a policy graph (whose ordinal-move
 //!   branches genuinely contain cycles).
-//! * [`SolverMethod::Prioritized`] — prioritized sweeping over a bucketed
-//!   priority queue seeded from the goal set, for warm re-solves after a
-//!   local health patch where only a small region needs work.
 //! * [`SolverMethod::GaussSeidel`] — the pre-condensation engine, kept
 //!   verbatim (whole-vector sweeps, unfactored `Pmax` backup) as the
 //!   reference oracle and the benchmark baseline.
@@ -34,10 +31,9 @@
 //! Whatever the method, the engine only declares convergence after a
 //! **confirmation sweep**: one full Jacobi pass against the frozen iterate
 //! whose max delta is the true Bellman residual ([`SolverResult::residual`]).
-//! In-place sweep deltas and drained queues under-report the residual (a
-//! prioritized drain can leave sub-threshold updates outstanding); the
-//! confirmation pass turns "my bookkeeping says done" into a checkable
-//! ε-fixed-point claim, which `meda-audit` re-verifies independently.
+//! In-place sweep deltas under-report the residual; the confirmation pass
+//! turns "my bookkeeping says done" into a checkable ε-fixed-point claim,
+//! which `meda-audit` re-verifies independently.
 
 use meda_core::{Action, Condensation, RoutingMdp};
 use meda_telemetry::Histogram;
@@ -59,9 +55,6 @@ pub enum SolverMethod {
     /// sweeps).
     #[default]
     Topological,
-    /// Prioritized sweeping with a bucketed priority queue seeded from the
-    /// goal set; best for warm-started re-solves after local degradation.
-    Prioritized,
 }
 
 /// Options for the value-iteration solver.
@@ -73,24 +66,6 @@ pub struct SolverOptions {
     /// the engine stops once it has spent `max_iterations × states` state
     /// backups, wherever in a sweep that lands.
     pub max_iterations: usize,
-    /// Optional per-state initial value seed for `Rmin` solves.
-    ///
-    /// Health only ever degrades, so expected completion times only ever
-    /// increase — a previous solve's values are a pointwise *lower* bound
-    /// on the new fixed point and make a sound monotone-from-below seed
-    /// (warm start). The seed replaces the structured engines' from-above
-    /// `∞` start, so note the trade: on ordinal-move models the from-below
-    /// ascent closes the seed gap geometrically at the partial-branch
-    /// rate, while the from-above start's first value-ordered sweep is
-    /// already a near-exact policy evaluation — for a *whole-chip* wear
-    /// step the cold solve typically wins. Warm seeds earn their keep on
-    /// [`SolverMethod::Prioritized`] re-solves after *local* patches,
-    /// where the queue drains only the affected region. Ignored by
-    /// [`max_reach_probability`]: `v ≡ 1` is a fixed point of the `Pmax`
-    /// operator (every failure branch self-loops), so `Pmax` iteration
-    /// must start from 0 to converge to the *least* fixed point. Seeds of
-    /// the wrong length are ignored.
-    pub warm_start: Option<Vec<f64>>,
     /// Which sweep engine to run. See [`SolverMethod`].
     pub method: SolverMethod,
 }
@@ -100,27 +75,7 @@ impl Default for SolverOptions {
         Self {
             epsilon: 1e-9,
             max_iterations: 100_000,
-            warm_start: None,
             method: SolverMethod::Topological,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Options for a *patched-region* re-solve: a warm seed from the
-    /// superseded strategy plus [`SolverMethod::Prioritized`] sweeping, so
-    /// the residual queue drains only the region the health patch (or a
-    /// supervisor relocation) actually disturbed instead of re-sweeping
-    /// the whole model. This is the configuration where from-below warm
-    /// seeds earn their keep (see [`SolverOptions::warm_start`]); with no
-    /// seed the prioritized engine still localizes the work around the
-    /// goal set.
-    #[must_use]
-    pub fn patched(warm_start: Option<Vec<f64>>) -> Self {
-        Self {
-            warm_start,
-            method: SolverMethod::Prioritized,
-            ..Self::default()
         }
     }
 }
@@ -490,75 +445,6 @@ struct TopoScratch {
 }
 
 // ---------------------------------------------------------------------------
-// Bucketed priority queue for prioritized sweeping.
-// ---------------------------------------------------------------------------
-
-const PQ_BUCKETS: usize = 64;
-
-/// An in-tree approximate max-priority queue: priorities are bucketed by
-/// `log2(priority / epsilon)`, states pop highest-bucket-first, and
-/// re-prioritization uses lazy deletion (a per-state tag names the one live
-/// bucket; stale entries are skipped on pop). All operations are O(1)
-/// amortized and allocation-free after warm-up.
-struct BucketQueue {
-    buckets: Vec<Vec<u32>>,
-    /// 0 = not queued; otherwise the live bucket + 1.
-    tag: Vec<u8>,
-    /// Highest possibly-non-empty bucket + 1.
-    top: usize,
-    scale: f64,
-}
-
-impl BucketQueue {
-    fn new(n: usize, epsilon: f64) -> Self {
-        Self {
-            buckets: vec![Vec::new(); PQ_BUCKETS],
-            tag: vec![0; n],
-            top: 0,
-            // An epsilon of 0 (run-to-budget) still needs a finite scale.
-            scale: if epsilon > 0.0 { epsilon } else { 1e-12 },
-        }
-    }
-
-    fn bucket_of(&self, priority: f64) -> usize {
-        if priority <= self.scale {
-            return 0;
-        }
-        // ∞ / self.scale saturates through the cast and is clamped.
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        let b = (priority / self.scale).log2() as usize;
-        b.min(PQ_BUCKETS - 1)
-    }
-
-    /// Queues `i` at `bucket` unless it is already queued at least that
-    /// high. Returns whether the queue changed.
-    fn push(&mut self, i: u32, bucket: usize) -> bool {
-        let slot = &mut self.tag[i as usize];
-        if *slot as usize > bucket {
-            return false;
-        }
-        *slot = (bucket + 1) as u8;
-        self.buckets[bucket].push(i);
-        self.top = self.top.max(bucket + 1);
-        true
-    }
-
-    fn pop(&mut self) -> Option<u32> {
-        while self.top > 0 {
-            let b = self.top - 1;
-            while let Some(i) = self.buckets[b].pop() {
-                if self.tag[i as usize] as usize == b + 1 {
-                    self.tag[i as usize] = 0;
-                    return Some(i);
-                }
-            }
-            self.top -= 1;
-        }
-        None
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The sweep engine.
 // ---------------------------------------------------------------------------
 
@@ -569,14 +455,6 @@ enum Phase {
     Done,
     /// The eval budget ran out mid-phase.
     Budget,
-}
-
-/// Push/pop counters for prioritized sweeping, flushed to telemetry once
-/// per solve.
-#[derive(Default)]
-struct PqStats {
-    pushes: u64,
-    pops: u64,
 }
 
 struct EngineOutcome {
@@ -606,19 +484,11 @@ enum MethodState {
         preds: Preds,
         scratch: TopoScratch,
     },
-    Prioritized {
-        preds: Preds,
-        queue: BucketQueue,
-    },
 }
 
 struct Engine<'a> {
     kernel: Kernel<'a>,
     epsilon: f64,
-    /// Deltas above this re-queue predecessors in the prioritized phase
-    /// (half of epsilon, so sub-threshold leftovers stay well inside what
-    /// the confirmation pass tolerates).
-    push_threshold: f64,
     /// Total state-backup budget (`max_iterations × states`).
     budget: usize,
     evals: usize,
@@ -644,13 +514,7 @@ impl Engine<'_> {
 
     /// One full Jacobi pass over every state against the frozen iterate:
     /// evaluates into scratch, then writes back, returning the max delta.
-    /// `changed` collects the states whose value moved.
-    fn jacobi_pass(
-        &mut self,
-        values: &mut [f64],
-        choice: &mut [Option<Action>],
-        changed: &mut Vec<u32>,
-    ) -> f64 {
+    fn jacobi_pass(&mut self, values: &mut [f64], choice: &mut [Option<Action>]) -> f64 {
         for (i, (sv, sc)) in self
             .scratch_v
             .iter_mut()
@@ -665,7 +529,6 @@ impl Engine<'_> {
             // subtraction would produce NaN.
             if v != values[i] {
                 delta = delta.max((v - values[i]).abs());
-                changed.push(i as u32);
             }
             values[i] = v;
             choice[i] = a;
@@ -850,45 +713,6 @@ impl Engine<'_> {
         }
         Phase::Done
     }
-
-    /// Prioritized sweeping: drain the bucketed queue highest-priority
-    /// first, re-queueing the predecessors of any state whose value moved
-    /// by more than the push threshold.
-    fn prioritized_phase(
-        &mut self,
-        queue: &mut BucketQueue,
-        preds: &Preds,
-        values: &mut [f64],
-        choice: &mut [Option<Action>],
-        stats: &mut PqStats,
-    ) -> Phase {
-        while let Some(iu) = queue.pop() {
-            if !self.try_charge(1) {
-                return Phase::Budget;
-            }
-            stats.pops += 1;
-            let i = iu as usize;
-            let (v, a) = self.kernel.eval(i, values, choice);
-            let delta = if v == values[i] {
-                0.0
-            } else {
-                (v - values[i]).abs()
-            };
-            values[i] = v;
-            choice[i] = a;
-            if delta > self.push_threshold {
-                let bucket = queue.bucket_of(delta);
-                for &p in preds.of(i) {
-                    let pi = p as usize;
-                    if p != iu && self.active[pi] && !self.kernel.goal[pi] && queue.push(p, bucket)
-                    {
-                        stats.pushes += 1;
-                    }
-                }
-            }
-        }
-        Phase::Done
-    }
 }
 
 /// True when some choice of `i` could be backed up right now with no
@@ -968,22 +792,12 @@ fn residual_p12(delta: f64) -> u64 {
 }
 
 /// Builds the method-specific state for a non-empty iteration domain:
-/// condensation + backward-BFS scratch for the topological method, or the
-/// seeded bucket queue for prioritized sweeping. The queue seeds are the
-/// *anchor frontier* — active predecessors of the goal set and of any
-/// frozen (inactive) state — where the first Bellman improvements can
-/// appear.
-fn build_method_state(
-    mdp: &RoutingMdp,
-    spec: &SolveSpec<'_>,
-    options: &SolverOptions,
-    eng: &Engine<'_>,
-    stats: &mut PqStats,
-) -> MethodState {
+/// condensation + backward-BFS scratch for the topological method.
+fn build_method_state(mdp: &RoutingMdp, method: SolverMethod) -> MethodState {
     let telemetry = meda_telemetry::global();
     let csr = mdp.csr();
     let n = mdp.len();
-    match options.method {
+    match method {
         SolverMethod::GaussSeidel => MethodState::GaussSeidel,
         SolverMethod::Topological => {
             let cond = mdp.condensation();
@@ -1009,25 +823,6 @@ fn build_method_state(
                     order: Vec::with_capacity(n),
                 },
             }
-        }
-        SolverMethod::Prioritized => {
-            let preds = Preds::build(
-                csr.state_choice_start,
-                csr.choice_branch_start,
-                csr.branch_target,
-            );
-            let mut queue = BucketQueue::new(n, options.epsilon);
-            for i in 0..n {
-                if spec.goal[i] || !eng.active[i] {
-                    for &p in preds.of(i) {
-                        let pi = p as usize;
-                        if eng.active[pi] && !spec.goal[pi] && queue.push(p, PQ_BUCKETS - 1) {
-                            stats.pushes += 1;
-                        }
-                    }
-                }
-            }
-            MethodState::Prioritized { preds, queue }
         }
     }
 }
@@ -1062,7 +857,6 @@ fn run_engine(
     let mut eng = Engine {
         kernel,
         epsilon: options.epsilon,
-        push_threshold: options.epsilon / 2.0,
         budget: options.max_iterations.saturating_mul(n),
         evals: 0,
         active,
@@ -1072,7 +866,6 @@ fn run_engine(
     };
     let residuals = telemetry.histogram("synth.solve.residual_p12");
     let scc_sweeps = telemetry.histogram("synth.solve.scc_sweeps");
-    let mut stats = PqStats::default();
 
     let mut state = if domain.is_empty() {
         // Every state is frozen at its exact value (e.g. `Pmax` fully
@@ -1080,10 +873,9 @@ fn run_engine(
         // and the confirmation pass alone certifies and assigns choices.
         MethodState::GaussSeidel
     } else {
-        build_method_state(mdp, spec, options, &eng, &mut stats)
+        build_method_state(mdp, options.method)
     };
 
-    let mut changed: Vec<u32> = Vec::new();
     let mut converged = false;
     let mut residual = f64::INFINITY;
     let mut retries = 0u64;
@@ -1095,18 +887,14 @@ fn run_engine(
                 preds,
                 scratch,
             } => eng.topological_phase(cond, preds, scratch, values, choice, &scc_sweeps),
-            MethodState::Prioritized { preds, queue } => {
-                eng.prioritized_phase(queue, preds, values, choice, &mut stats)
-            }
         };
         if status == Phase::Budget || !eng.try_charge(n) {
             break;
         }
         // Confirmation pass: the phase believes it is done; re-measure the
-        // residual against the frozen iterate, where no in-place update or
-        // drained-queue bookkeeping can hide outstanding error.
-        changed.clear();
-        let delta = eng.jacobi_pass(values, choice, &mut changed);
+        // residual against the frozen iterate, where no in-place update can
+        // hide outstanding error.
+        let delta = eng.jacobi_pass(values, choice);
         residuals.record(residual_p12(delta));
         residual = delta;
         if delta < eng.epsilon {
@@ -1128,17 +916,6 @@ fn run_engine(
                     for &iu in &stuck {
                         values[iu as usize] = 0.0;
                     }
-                    if let MethodState::Prioritized { preds, queue } = &mut state {
-                        for &iu in &stuck {
-                            queue.push(iu, PQ_BUCKETS - 1);
-                            for &p in preds.of(iu as usize) {
-                                let pi = p as usize;
-                                if p != iu && eng.active[pi] && !spec.goal[pi] {
-                                    queue.push(p, PQ_BUCKETS - 1);
-                                }
-                            }
-                        }
-                    }
                     retries += 1;
                     continue;
                 }
@@ -1147,28 +924,12 @@ fn run_engine(
             break;
         }
         retries += 1;
-        if let MethodState::Prioritized { preds, queue } = &mut state {
-            // Re-seed from what the confirmation pass actually moved.
-            for &iu in &changed {
-                for &p in preds.of(iu as usize) {
-                    let pi = p as usize;
-                    if p != iu && eng.active[pi] && !spec.goal[pi] && queue.push(p, PQ_BUCKETS - 1)
-                    {
-                        stats.pushes += 1;
-                    }
-                }
-            }
-        }
     }
     if retries > 0 {
         telemetry.add("synth.solve.confirm.retries", retries);
     }
     if eng.greedy_sweeps > 0 {
         telemetry.add("synth.solve.sweeps.greedy", eng.greedy_sweeps);
-    }
-    if stats.pushes > 0 || stats.pops > 0 {
-        telemetry.add("synth.solve.pq.pushes", stats.pushes);
-        telemetry.add("synth.solve.pq.pops", stats.pops);
     }
     EngineOutcome {
         iterations: eng.evals.div_ceil(n.max(1)),
@@ -1274,7 +1035,6 @@ fn solve_query(
 /// Values start at 1 on goal states and 0 elsewhere; the iteration is
 /// monotone from below, so the fixed point is the least fixed point — the
 /// correct maximal reachability probability.
-/// [`SolverOptions::warm_start`] is ignored here (see its docs).
 ///
 /// The structured methods first run the graph-only [`pmax_qualitative`]
 /// precomputation, pinning states to exactly 0 (no path to goal) or
@@ -1318,7 +1078,7 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
 /// Dev-build certification hook: every converged solve leaving this module
 /// must pass `meda-audit`'s Bellman-residual certificate — one exact backup
 /// of the claimed operator, independent of the solver's trajectory (any
-/// method, cold or warm-started alike).
+/// method alike).
 ///
 /// The engine's confirmation sweep guarantees the frozen-iterate residual
 /// is below `epsilon` at convergence, and both operators are 1-Lipschitz,
@@ -1369,24 +1129,13 @@ fn debug_certify(
 /// already hold it should use [`min_expected_cycles_with_reach`].
 #[must_use]
 pub fn min_expected_cycles(mdp: &RoutingMdp, options: SolverOptions) -> SolverResult {
-    let reach = max_reach_probability(
-        mdp,
-        SolverOptions {
-            warm_start: None,
-            ..options.clone()
-        },
-    );
+    let reach = max_reach_probability(mdp, options.clone());
     min_expected_cycles_with_reach(mdp, options, &reach)
 }
 
 /// [`min_expected_cycles`] reusing an already-computed
 /// [`max_reach_probability`] result for the `Pmax = 1` pre-seeding, so the
 /// reachability fixed point is not recomputed.
-///
-/// If [`SolverOptions::warm_start`] is set, finite seed values initialize
-/// the almost-surely-reaching states; since expected cycles only grow as
-/// health degrades, the converged values must dominate the seed — asserted
-/// in debug builds.
 #[must_use]
 pub fn min_expected_cycles_with_reach(
     mdp: &RoutingMdp,
@@ -1397,14 +1146,6 @@ pub fn min_expected_cycles_with_reach(
     let _solve_span = telemetry.span("solve.rmin");
     let n = mdp.len();
     assert_eq!(reach.values.len(), n, "reach result from a different MDP");
-    let seed = options.warm_start.as_deref().filter(|s| s.len() == n);
-    if options.warm_start.is_some() {
-        if seed.is_some() {
-            telemetry.add("synth.solve.warm_start.used", 1);
-        } else {
-            telemetry.add("synth.solve.warm_start.rejected", 1);
-        }
-    }
     let goal: Vec<bool> = (0..n).map(|i| mdp.is_goal(i)).collect();
     // Only states with Pmax = 1 admit finite expected time; seed the rest
     // with ∞ so the SSP iteration cannot cheat through them.
@@ -1419,21 +1160,17 @@ pub fn min_expected_cycles_with_reach(
     // and the remaining sweeps only relax locally around degraded cells —
     // where the classic from-0 ascent instead creeps for hundreds of
     // sweeps as same-layer neighbors bootstrap off each other's
-    // underestimates. A warm-start seed (a from-below bound) or the
-    // Gauss–Seidel baseline keep the pre-optimization from-0 ascent.
+    // underestimates. The Gauss–Seidel baseline keeps the pre-optimization
+    // from-0 ascent.
     let from_above = options.method != SolverMethod::GaussSeidel;
     let init: Vec<f64> = (0..n)
         .map(|i| {
             if goal[i] {
                 0.0
-            } else if reach.values[i] < 1.0 - 1e-6 {
+            } else if reach.values[i] < 1.0 - 1e-6 || from_above {
                 f64::INFINITY
             } else {
-                match seed {
-                    Some(s) if s[i].is_finite() && s[i] > 0.0 => s[i],
-                    _ if from_above => f64::INFINITY,
-                    _ => 0.0,
-                }
+                0.0
             }
         })
         .collect();
@@ -1446,24 +1183,6 @@ pub fn min_expected_cycles_with_reach(
     telemetry.add("synth.solve.rmin.count", 1);
     telemetry.add("synth.solve.rmin.iterations", result.iterations as u64);
 
-    if let Some(s) = seed {
-        // Degradation monotonicity makes an honestly-obtained seed an
-        // *approximate* lower bound on the new fixed point — approximate
-        // because a degraded cell can shift outcome probability onto a
-        // partial-move landing state with a better continuation, lowering
-        // Rmin locally by sub-cycle amounts. Convergence never depends on
-        // the seed being a bound (the shortest-path fixed point is
-        // unique), so only gross mismatches — a seed from the wrong
-        // geometry or query — are rejected here.
-        debug_assert!(
-            (0..n).all(|i| {
-                !result.values[i].is_finite()
-                    || !s[i].is_finite()
-                    || result.values[i] >= s[i] - (2.0 + 0.05 * s[i])
-            }),
-            "warm-start seed was grossly above the Rmin fixed point"
-        );
-    }
     debug_certify(
         mdp,
         &result,
@@ -1610,73 +1329,6 @@ mod tests {
         assert_eq!(via.choice, direct.choice);
     }
 
-    #[test]
-    fn warm_start_reaches_same_fixed_point_with_bounded_overhead() {
-        // Solve on a healthy field, then on a degraded one, cold vs seeded
-        // with the healthy values (a valid lower bound: health only
-        // degrades, values only grow). A from-below seed replaces the
-        // from-above start, so it cannot *beat* the cold solve's handful
-        // of value-ordered sweeps — the contract is agreement on the
-        // fixed point at comparable cost, not fewer sweeps.
-        let healthy = min_expected_cycles(&area_mdp(1.0), SolverOptions::default());
-        let degraded = area_mdp(0.5);
-        let cold = min_expected_cycles(&degraded, SolverOptions::default());
-        let warm = min_expected_cycles(
-            &degraded,
-            SolverOptions {
-                warm_start: Some(healthy.values),
-                ..SolverOptions::default()
-            },
-        );
-        assert!(cold.converged && warm.converged);
-        for (c, w) in cold.values.iter().zip(&warm.values) {
-            assert!((c - w).abs() < 1e-9, "cold {c} vs warm {w}");
-        }
-        assert!(
-            warm.iterations <= 2 * cold.iterations + 4,
-            "warm {} blew past cold {}",
-            warm.iterations,
-            cold.iterations
-        );
-        // Seeding with the exact fixed point converges immediately.
-        let exact = min_expected_cycles(
-            &degraded,
-            SolverOptions {
-                warm_start: Some(cold.values.clone()),
-                ..SolverOptions::default()
-            },
-        );
-        assert!(exact.iterations <= cold.iterations);
-        for (c, e) in cold.values.iter().zip(&exact.values) {
-            assert!((c - e).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn warm_start_is_ignored_by_pmax() {
-        // Seeding Pmax from above would freeze it at a spurious fixed
-        // point (v ≡ 1 through self-loops); the solver must ignore it.
-        let dims = ChipDims::new(5, 1);
-        let mut f = Grid::new(dims, 1.0);
-        f[Cell::new(3, 1)] = 0.0;
-        let mdp = RoutingMdp::build(
-            Rect::new(1, 1, 1, 1),
-            Rect::new(5, 1, 5, 1),
-            Rect::new(1, 1, 5, 1),
-            &RawField::new(f),
-            &ActionConfig::cardinal_only(),
-        )
-        .unwrap();
-        let seeded = max_reach_probability(
-            &mdp,
-            SolverOptions {
-                warm_start: Some(vec![1.0; mdp.len()]),
-                ..SolverOptions::default()
-            },
-        );
-        assert!(seeded.values[mdp.init()] < 1e-9);
-    }
-
     // -- structure-aware engine ---------------------------------------------
 
     fn detour_mdp() -> RoutingMdp {
@@ -1718,14 +1370,12 @@ mod tests {
         let base_p = max_reach_probability(&mdp, with(SolverMethod::GaussSeidel));
         let base_r = min_expected_cycles(&mdp, with(SolverMethod::GaussSeidel));
         assert_eq!(base_p.method, SolverMethod::GaussSeidel);
-        for method in [SolverMethod::Topological, SolverMethod::Prioritized] {
-            let p = max_reach_probability(&mdp, with(method));
-            let r = min_expected_cycles(&mdp, with(method));
-            assert!(p.converged && r.converged, "{method:?} did not converge");
-            assert_eq!(p.method, method);
-            assert_close(&p.values, &base_p.values, 1e-7, "Pmax");
-            assert_close(&r.values, &base_r.values, 1e-7, "Rmin");
-        }
+        let p = max_reach_probability(&mdp, with(SolverMethod::Topological));
+        let r = min_expected_cycles(&mdp, with(SolverMethod::Topological));
+        assert!(p.converged && r.converged, "Topological did not converge");
+        assert_eq!(p.method, SolverMethod::Topological);
+        assert_close(&p.values, &base_p.values, 1e-7, "Pmax");
+        assert_close(&r.values, &base_r.values, 1e-7, "Rmin");
     }
 
     #[test]
@@ -1757,19 +1407,13 @@ mod tests {
 
     #[test]
     fn convergence_is_confirmed_against_the_frozen_iterate() {
-        // Prioritized sweeping can drain its queue while sub-threshold
-        // updates are still outstanding, and in-place sweep deltas are not
-        // Jacobi residuals; the old convergence check took both at face
-        // value. The engine must instead confirm against the frozen
+        // In-place sweep deltas are not Jacobi residuals; the old
+        // convergence check took them at face value. The engine must instead confirm against the frozen
         // iterate, so a converged result carries a true Bellman residual
         // below epsilon — checkable by one exact audit backup, with no
         // orders-of-magnitude slack.
         let mdp = area_mdp(0.3);
-        for method in [
-            SolverMethod::GaussSeidel,
-            SolverMethod::Topological,
-            SolverMethod::Prioritized,
-        ] {
+        for method in [SolverMethod::GaussSeidel, SolverMethod::Topological] {
             let options = SolverOptions {
                 epsilon: 1e-3,
                 method,
@@ -1796,35 +1440,5 @@ mod tests {
                 cert.max_residual
             );
         }
-    }
-
-    #[test]
-    fn prioritized_warm_restart_converges_after_local_patch() {
-        // The prioritized path's home turf: re-solve after a local health
-        // patch, seeded with the pre-patch values.
-        let healthy = min_expected_cycles(&area_mdp(1.0), SolverOptions::default());
-        let dims = ChipDims::new(10, 10);
-        let mut f = Grid::new(dims, 1.0);
-        f[Cell::new(5, 5)] = 0.3;
-        f[Cell::new(6, 5)] = 0.3;
-        let patched = RoutingMdp::build(
-            Rect::new(1, 1, 2, 2),
-            Rect::new(9, 9, 10, 10),
-            Rect::new(1, 1, 10, 10),
-            &RawField::new(f),
-            &ActionConfig::cardinal_only(),
-        )
-        .unwrap();
-        let warm_pq = min_expected_cycles(
-            &patched,
-            SolverOptions {
-                method: SolverMethod::Prioritized,
-                warm_start: Some(healthy.values.clone()),
-                ..SolverOptions::default()
-            },
-        );
-        let cold = min_expected_cycles(&patched, SolverOptions::default());
-        assert!(warm_pq.converged && cold.converged);
-        assert_close(&warm_pq.values, &cold.values, 1e-7, "patched Rmin");
     }
 }

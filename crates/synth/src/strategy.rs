@@ -76,33 +76,16 @@ impl std::error::Error for SynthesisError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn synthesize(mdp: &RoutingMdp, query: Query) -> Result<RoutingStrategy, SynthesisError> {
-    synthesize_with(mdp, query, SolverOptions::default())
-}
-
-/// [`synthesize`] with explicit solver options.
-///
-/// # Errors
-///
-/// Same as [`synthesize`].
-pub fn synthesize_with(
-    mdp: &RoutingMdp,
-    query: Query,
-    options: SolverOptions,
-) -> Result<RoutingStrategy, SynthesisError> {
     // Both queries need the Pmax fixed point (Rmin for its ∞-seeding, and
     // the NoStrategy diagnostics for the reported probability) — compute it
     // once and reuse it.
-    let reach = max_reach_probability(
-        mdp,
-        SolverOptions {
-            warm_start: None,
-            ..options.clone()
-        },
-    );
+    let reach = max_reach_probability(mdp, SolverOptions::default());
     let reach_at_init = reach.values[mdp.init()];
     let result = match query {
         Query::MaxReachProbability => reach,
-        Query::MinExpectedCycles => min_expected_cycles_with_reach(mdp, options, &reach),
+        Query::MinExpectedCycles => {
+            min_expected_cycles_with_reach(mdp, SolverOptions::default(), &reach)
+        }
     };
     if !result.converged {
         return Err(SynthesisError::NotConverged);
@@ -181,21 +164,6 @@ impl RoutingStrategy {
     #[must_use]
     pub fn values(&self) -> &[f64] {
         &self.values
-    }
-
-    /// Builds a [`SolverOptions::warm_start`] seed for re-synthesis on
-    /// `mdp` (the model rebuilt after a health change over the same job):
-    /// each of the new model's states is seeded with this strategy's value
-    /// at the same droplet rectangle, 0 where unknown.
-    ///
-    /// Only meaningful for [`Query::MinExpectedCycles`] strategies — health
-    /// only degrades, so old `Rmin` values lower-bound the new fixed point
-    /// (see [`SolverOptions::warm_start`]).
-    #[must_use]
-    pub fn warm_start_seed(&self, mdp: &RoutingMdp) -> Vec<f64> {
-        (0..mdp.len())
-            .map(|i| self.value_at(mdp.state(i)).unwrap_or(0.0))
-            .collect()
     }
 
     /// The query this strategy optimizes.

@@ -3,10 +3,10 @@
 //! Two obligations (ISSUE acceptance criteria):
 //!
 //! 1. **Equivalence fixtures.** For a spread of pristine model geometries,
-//!    cold and warm-started solves must both pass the *strict*
-//!    Bellman-residual certificate (`Certificate::certifies`) for both
-//!    `Pmax` and `Rmin` — certifying that the warm-start path computes the
-//!    same fixed point as the reference sweep.
+//!    the solver's `Pmax` and `Rmin` solves must pass the *strict*
+//!    Bellman-residual certificate (`Certificate::certifies`) — certifying
+//!    that the one solver path computes the fixed point the reference
+//!    backup defines.
 //! 2. **Corruption corpus.** Seeded single-field mutations of the exported
 //!    CSR artifact — one offset, one probability, one branch target, one
 //!    goal flag, one strategy entry per case — must *every one* be flagged
@@ -18,7 +18,7 @@ use meda_audit::{
     Violation, CERTIFICATE_EPSILON,
 };
 use meda_core::{
-    Action, ActionConfig, HazardHandling, HealthField, RawField, RoutingMdp, UniformField,
+    Action, ActionConfig, Dir, HazardHandling, HealthField, RawField, RoutingMdp, UniformField,
 };
 use meda_degradation::HealthLevel;
 use meda_grid::{ChipDims, Grid, Rect};
@@ -157,32 +157,6 @@ fn cold_solves_certify() {
                 cert.inconsistent.len()
             );
         }
-    }
-}
-
-#[test]
-fn warm_started_solves_certify() {
-    for (name, mdp) in fixtures() {
-        let artifact = ModelArtifact::from(&mdp);
-        let (reach, cold) = solve_both(&mdp, SolverOptions::default());
-        // Warm-start Rmin from its own converged values: the sharpest legal
-        // monotone-from-below seed. The result must still certify (and in
-        // one sweep's worth of residual).
-        let warm = min_expected_cycles_with_reach(
-            &mdp,
-            SolverOptions {
-                warm_start: Some(cold.values.clone()),
-                ..SolverOptions::default()
-            },
-            &reach,
-        );
-        let cert = bellman_certificate(&artifact, &warm.values, ValueKind::ExpectedCycles);
-        assert!(
-            cert.certifies(CERTIFICATE_EPSILON),
-            "{name} warm-started Rmin: residual {} at {:?}",
-            cert.max_residual,
-            cert.worst_state
-        );
     }
 }
 
@@ -543,6 +517,50 @@ fn forged_bound_certificates_are_rejected() {
     assert!(
         checked >= 54,
         "bound corpus shrank: only {checked} forgeries ran"
+    );
+
+    // The shape the backups alone cannot refute: `lo = hi = ∞` on a pair
+    // of Prob1 states whose every choice re-enters the pair. States 0 and
+    // 1 each gamble 50/50 between the goal (2) and the other state (E) or
+    // hand over to the other state outright (W); the true value is 2 at
+    // both, yet `∞` backs up to `∞` there.
+    let (east, west) = (Action::Move(Dir::E), Action::Move(Dir::W));
+    let pair = ModelArtifact {
+        states: 3,
+        init: 0,
+        sink: None,
+        goal_flags: vec![false, false, true],
+        state_choice_start: vec![0, 2, 4, 4],
+        choice_action: vec![east, west, east, west],
+        choice_branch_start: vec![0, 2, 3, 5, 6],
+        branch_target: vec![2, 1, 1, 2, 0, 0],
+        branch_prob: vec![0.5, 0.5, 1.0, 0.5, 0.5, 1.0],
+    };
+    assert!(audit_model(&pair).is_clean());
+    let gamble = vec![Some(east), Some(east), None];
+    let eval = evaluate_strategy(&pair, &gamble, ValueKind::ExpectedCycles).expect("evaluates");
+    let mut forged = strategy_bounds(&eval, CERTIFICATE_EPSILON);
+    assert!(verify_bounds(&pair, &forged).is_empty());
+    for i in 0..2 {
+        forged.lo[i] = f64::INFINITY;
+        forged.hi[i] = f64::INFINITY;
+    }
+    let violations = verify_bounds(&pair, &forged);
+    let unsound_lo: Vec<usize> = violations
+        .iter()
+        .filter_map(|v| match v {
+            Violation::BoundUnsound {
+                upper: false,
+                state,
+                ..
+            } => Some(*state),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        unsound_lo,
+        vec![0, 1],
+        "infinite-loop forgery: {violations:?}"
     );
 }
 

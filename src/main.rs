@@ -37,6 +37,45 @@ use meda::synth::{
 };
 use meda_rng::SeedableRng;
 
+/// Writes command output to stdout — the one writer every command prints
+/// through.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let written = std::io::stdout().lock().write_fmt(args);
+    if let Err(e) = written {
+        stdout_failed(&e);
+    }
+}
+
+/// Ends the command after a failed write to stdout. A closed pipe
+/// (`meda audit covid-rat --sound | head -1`) ends it quietly with exit
+/// status 0: the reader has all it asked for. Any other write error ends
+/// it with status 1.
+fn stdout_failed(e: &std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("error: writing to stdout: {e}");
+    std::process::exit(1);
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 const USAGE: &str = "\
 meda — formal synthesis of adaptive droplet routing for MEDA biochips
 
@@ -76,7 +115,7 @@ fn main() -> ExitCode {
         Some("profile") => cmd_profile(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         _ => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
     };
@@ -121,13 +160,16 @@ fn parse_size(text: &str) -> Result<(u32, u32), String> {
 
 fn cmd_list() -> Result<(), String> {
     let helper = RjHelper::new(ChipDims::PAPER);
-    println!(
+    outln!(
         "{:18} {:>5} {:>6} {:>11}",
-        "assay", "ops", "jobs", "transport"
+        "assay",
+        "ops",
+        "jobs",
+        "transport"
     );
     for sg in benchmarks::evaluation_suite() {
         let plan = helper.plan(&sg).map_err(|e| e.to_string())?;
-        println!(
+        outln!(
             "{:18} {:>5} {:>6} {:>11.1}",
             sg.name(),
             plan.operations().len(),
@@ -141,13 +183,17 @@ fn cmd_list() -> Result<(), String> {
 fn cmd_plan(args: &[String]) -> Result<(), String> {
     let name = args.first().ok_or("usage: meda plan <assay>")?;
     let plan = plan_assay(name)?;
-    println!(
+    outln!(
         "{:6} {:5} {:>20} {:>20} {:>20}",
-        "RJ", "type", "start", "goal", "bounds"
+        "RJ",
+        "type",
+        "start",
+        "goal",
+        "bounds"
     );
     for mo in plan.operations() {
         for (j, job) in mo.jobs.iter().enumerate() {
-            println!(
+            outln!(
                 "{:6} {:5} {:>20} {:>20} {:>20}",
                 format!("RJ{}.{j}", mo.id + 1),
                 mo.op.to_string(),
@@ -235,7 +281,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 ..SupervisorConfig::default()
             })
             .run(&plan, &mut chip, router.as_mut(), &chaos, &mut rng);
-            println!(
+            outln!(
                 "run {run}: {:?} in {} cycles — {}/{} ops complete, \
                  ladder resense/resynth/detour/reconfig/abort {}/{}/{}/{}/{}",
                 report.status,
@@ -249,13 +295,17 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 report.rungs.aborted_ops
             );
             for failure in &report.failures {
-                println!(
+                outln!(
                     "  aborted MO {} (job {}) after {} retries: {:?} near {}",
-                    failure.mo, failure.job, failure.retries, failure.status, failure.last_position
+                    failure.mo,
+                    failure.job,
+                    failure.retries,
+                    failure.status,
+                    failure.last_position
                 );
             }
             if !report.skipped.is_empty() {
-                println!("  skipped dependents: {:?}", report.skipped);
+                outln!("  skipped dependents: {:?}", report.skipped);
             }
         } else {
             let outcome = BioassayRunner::new(config).run_with_chaos(
@@ -266,7 +316,7 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
                 &chaos,
                 &mut rng,
             );
-            println!(
+            outln!(
                 "run {run}: {:?} in {} cycles — {}/{} ops complete (total chip actuations {})",
                 outcome.status,
                 outcome.cycles,
@@ -306,12 +356,14 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let stats = mdp.stats();
-    println!(
+    outln!(
         "model: {} states, {} transitions, {} choices (query {query})",
-        stats.states, stats.transitions, stats.choices
+        stats.states,
+        stats.transitions,
+        stats.choices
     );
     let strategy = synthesize(&mdp, query).map_err(|e| e.to_string())?;
-    println!("value at start: {:.4}", strategy.value_at_init());
+    outln!("value at start: {:.4}", strategy.value_at_init());
 
     let rects = strategy.nominal_path();
     let mut rendered = vec![format!("{}", rects[0])];
@@ -319,8 +371,8 @@ fn cmd_synth(args: &[String]) -> Result<(), String> {
         let action = strategy.decide(pair[0]).expect("interior step");
         rendered.push(format!("-[{action}]-> {}", pair[1]));
     }
-    println!("nominal path: {}", rendered.join(" "));
-    println!(
+    outln!("nominal path: {}", rendered.join(" "));
+    outln!(
         "policy map (anchor positions, north up):\n{}",
         strategy.policy_map()
     );
@@ -353,9 +405,9 @@ fn cmd_export(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let model = to_prism_explicit(&mdp);
-    println!("== {name}-{index}.sta ==\n{}", model.states);
-    println!("== {name}-{index}.tra ==\n{}", model.transitions);
-    println!("== {name}-{index}.lab ==\n{}", model.labels);
+    outln!("== {name}-{index}.sta ==\n{}", model.states);
+    outln!("== {name}-{index}.tra ==\n{}", model.transitions);
+    outln!("== {name}-{index}.lab ==\n{}", model.labels);
     Ok(())
 }
 
@@ -445,7 +497,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
                             eval.map_or(0, |e| e.largest_block)
                         ),
                     };
-                    println!(
+                    outln!(
                         "job {index} {} -> {} [{kind:?}]: sound \
                          (init in [{:.9}, {:.9}], width {:.3e} <= 2eps, \
                          strategy attains {:.9}, {method})",
@@ -457,25 +509,29 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
                         attained,
                     );
                 } else {
-                    println!(
+                    outln!(
                         "job {index} {} -> {} [{kind:?}]: ok ({} states, {} reachable)",
-                        job.start, job.goal, stats.states, report.census.reachable
+                        job.start,
+                        job.goal,
+                        stats.states,
+                        report.census.reachable
                     );
                 }
             } else {
                 failed += 1;
-                println!(
+                outln!(
                     "job {index} {} -> {} [{kind:?}]: FAILED",
-                    job.start, job.goal
+                    job.start,
+                    job.goal
                 );
-                print!("{report}");
+                out!("{report}");
             }
         }
     }
     if failed > 0 {
         return Err(format!("{failed} of {audited} audits failed"));
     }
-    println!("{audited} audits clean");
+    outln!("{audited} audits clean");
     Ok(())
 }
 
@@ -492,10 +548,10 @@ fn audit_unsound_selftest(sound: bool) -> Result<(), String> {
     if !sound {
         let report = audit_solution(&artifact, &values, &strategy, kind, CERTIFICATE_EPSILON);
         if !report.is_clean() {
-            println!("{report}");
+            outln!("{report}");
             return Err("selftest fixture unexpectedly failed the plain audit".into());
         }
-        println!(
+        outln!(
             "selftest-unsound [{kind:?}]: ok — the residual certificate accepts a value \
              0.4 above the truth (an end-component fixed point); rerun with --sound to \
              see it rejected"
@@ -508,13 +564,15 @@ fn audit_unsound_selftest(sound: bool) -> Result<(), String> {
         return Err("selftest fixture was NOT rejected by the sound audit".into());
     }
     if let Some(cert) = &cert {
-        println!(
+        outln!(
             "selftest-unsound [{kind:?}]: certified interval [{:.9}, {:.9}] at init \
              excludes the claimed value {:.1}",
-            cert.lo[artifact.init], cert.hi[artifact.init], values[artifact.init]
+            cert.lo[artifact.init],
+            cert.hi[artifact.init],
+            values[artifact.init]
         );
     }
-    println!("{report}");
+    outln!("{report}");
     Err("selftest-unsound rejected by the sound audit, as intended".into())
 }
 
@@ -547,15 +605,17 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let mut failed = 0usize;
     for out in &outcomes {
         if out.passed {
-            println!(
+            outln!(
                 "{:28} ok ({} cases, {} replayed)",
-                out.name, out.cases, out.replayed
+                out.name,
+                out.cases,
+                out.replayed
             );
         } else {
             failed += 1;
-            println!("{:28} FAILED", out.name);
+            outln!("{:28} FAILED", out.name);
             if let Some(report) = &out.report {
-                print!("{report}");
+                out!("{report}");
             }
         }
     }
@@ -593,17 +653,17 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let json_path = flag(args, "--json").unwrap_or_else(|| "target/telemetry.json".into());
 
     let report = meda::profile::profile_assay(name, &options)?;
-    println!("{}", report.outcome);
-    println!();
-    print!("{}", meda::profile::render_table(&report));
+    outln!("{}", report.outcome);
+    outln!();
+    out!("{}", meda::profile::render_table(&report));
 
     let doc = meda::telemetry::export::summary_to_string(&report.summary);
     write_creating_parent(&json_path, &doc)?;
-    println!("\nwrote {json_path}");
+    outln!("\nwrote {json_path}");
     if let Some(events_path) = flag(args, "--events") {
         let stream = meda::telemetry::export::events_to_jsonl(&report.events);
         write_creating_parent(&events_path, &stream)?;
-        println!("wrote {events_path} ({} events)", report.events.len());
+        outln!("wrote {events_path} ({} events)", report.events.len());
     }
 
     if report.coverage < 0.9 {
@@ -646,14 +706,14 @@ fn cmd_wear(args: &[String]) -> Result<(), String> {
     for _ in 0..runs {
         let outcome = runner.run(&plan, &mut chip, &mut router, &mut rng);
         if !outcome.is_success() {
-            println!("run aborted: {:?}", outcome.status);
+            outln!("run aborted: {:?}", outcome.status);
             break;
         }
     }
-    println!("wear after {runs} runs of {name} (log-scale buckets, north up):");
-    println!("{}", render::wear_map(&chip));
-    println!("\nhealth map:");
-    println!("{}", render::health_map(chip.health_field(), &[]));
+    outln!("wear after {runs} runs of {name} (log-scale buckets, north up):");
+    outln!("{}", render::wear_map(&chip));
+    outln!("\nhealth map:");
+    outln!("{}", render::health_map(chip.health_field(), &[]));
     Ok(())
 }
 
@@ -698,15 +758,20 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
         )
     };
 
-    println!("fleet makespan for {name} (seed {seed}, paper-degraded 60x30 chip):");
-    println!(
+    outln!("fleet makespan for {name} (seed {seed}, paper-degraded 60x30 chip):");
+    outln!(
         "{:>4} {:>10} {:>6} {:>8} {:>9} {:>10}",
-        "N", "cycles", "peak", "stalls", "speedup", "status"
+        "N",
+        "cycles",
+        "peak",
+        "stalls",
+        "speedup",
+        "status"
     );
     let serial = run_at(1);
     let concurrent = run_at(n);
     for (size, outcome) in [(1, &serial), (n, &concurrent)] {
-        println!(
+        outln!(
             "{:>4} {:>10} {:>6} {:>8} {:>8.2}x {:>10}",
             size,
             outcome.cycles,
@@ -727,7 +792,7 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
     {
         return Err(format!("fluidic separation violated: {v:?}"));
     }
-    println!("separation audit: clean over {} cycles", log.len());
+    outln!("separation audit: clean over {} cycles", log.len());
 
     if smoke {
         if !concurrent.is_success() {
@@ -742,9 +807,10 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
                 concurrent.cycles, serial.cycles
             ));
         }
-        println!(
+        outln!(
             "smoke: N={n} makespan {} <= serial {} with a clean separation audit",
-            concurrent.cycles, serial.cycles
+            concurrent.cycles,
+            serial.cycles
         );
     }
     Ok(())
@@ -752,7 +818,6 @@ fn cmd_fleet(args: &[String]) -> Result<(), String> {
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use meda::synth::{run_batch, run_stream, ServeEngine};
-    use std::io::Write;
 
     let cache_dir = std::path::PathBuf::from(
         flag(args, "--cache-dir").unwrap_or_else(|| "target/meda-cache".to_string()),
@@ -774,7 +839,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let engine = ServeEngine::open(&cache_dir, capacity).map_err(|e| e.to_string())?;
         return match engine.validate_cache() {
             Ok(n) => {
-                println!(
+                outln!(
                     "cache {} sound: {n} entr{}",
                     cache_dir.display(),
                     if n == 1 { "y" } else { "ies" }
@@ -794,14 +859,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let file = std::fs::File::open(&batch).map_err(|e| format!("open {batch}: {e}"))?;
         let outcome = run_batch(std::io::BufReader::new(file), &cache_dir, capacity, workers)
             .map_err(|e| format!("batch {batch}: {e}"))?;
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
         for response in &outcome.responses {
             if !response.is_empty() {
-                writeln!(out, "{response}").map_err(|e| e.to_string())?;
+                outln!("{response}");
             }
         }
-        out.flush().map_err(|e| e.to_string())?;
         let s = outcome.stats;
         eprintln!(
             "serve: {} requests, {} hits ({} mem, {} disk), {} misses, {} rejected, {} inserted",
@@ -843,8 +905,10 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let stdin = std::io::stdin();
-    let stats = run_stream(stdin.lock(), std::io::stdout(), &cache_dir, capacity)
-        .map_err(|e| e.to_string())?;
+    let stats = match run_stream(stdin.lock(), std::io::stdout(), &cache_dir, capacity) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => stdout_failed(&e),
+        stats => stats.map_err(|e| e.to_string())?,
+    };
     eprintln!(
         "serve: {} hits ({} mem, {} disk), {} misses, {} rejected, {} inserted",
         stats.hits(),

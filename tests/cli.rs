@@ -99,3 +99,69 @@ fn bad_flag_values_fail_cleanly() {
     assert!(!ok);
     assert!(stderr.contains("smaller than the area"));
 }
+
+/// Runs `meda args` with `input` on stdin, reads one line of its output,
+/// closes the pipe and asserts the command ended quietly with success.
+/// The output must far exceed any pipe buffer, so that some write
+/// certainly lands after the close. Returns the line read.
+fn first_line_then_close(args: &[&str], input: Vec<u8>) -> String {
+    use std::io::{BufRead, Write};
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_meda"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    // A writer thread, so a child blocked on a full stdout pipe cannot
+    // deadlock against a test blocked on a full stdin pipe.
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    let feeder = std::thread::spawn(move || {
+        // The child may stop reading once its stdout is closed.
+        let _ = stdin.write_all(&input);
+    });
+    let mut first = String::new();
+    {
+        let stdout = child.stdout.take().expect("piped stdout");
+        std::io::BufReader::new(stdout)
+            .read_line(&mut first)
+            .expect("first line");
+    }
+    let output = child.wait_with_output().expect("binary exits");
+    feeder.join().expect("stdin feeder");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+    assert!(
+        output.status.success(),
+        "{args:?}: status {:?}: {stderr}",
+        output.status
+    );
+    first
+}
+
+/// A reader that stops early (`meda ... | head -1`) closes the pipe under
+/// the writer. The command must end quietly with success, not panic on
+/// the next print (the PRISM export is about 1 MB) or fail the request
+/// stream (1,000 replies of about 200 bytes).
+#[test]
+fn a_closed_stdout_pipe_ends_the_command_quietly() {
+    let first = first_line_then_close(&["export-prism", "covid-rat", "0"], Vec::new());
+    assert!(first.starts_with("== "), "first line: {first:?}");
+
+    let requests = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/scripts/serve_smoke_requests.jsonl"
+    ))
+    .expect("request fixture");
+    let cache = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-closed-pipe-cache");
+    let first = first_line_then_close(
+        &["serve", "--cache-dir", cache.to_str().expect("utf-8 path")],
+        requests.repeat(200),
+    );
+    assert!(
+        first.contains("\"status\":\"ok\""),
+        "first reply: {first:?}"
+    );
+}
