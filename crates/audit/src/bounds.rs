@@ -314,31 +314,23 @@ pub fn prob1(art: &ModelArtifact) -> Vec<bool> {
     let mut checks = 0u64;
     let mut u = vec![true; n];
     loop {
+        // The inner fixed point by a predecessor worklist: with `u` fixed,
+        // a state that failed its check can only pass once one of its
+        // successors joins `v`, so only the predecessors of each newly
+        // joined state are checked.
         let mut v = art.goal_flags.clone();
-        // A check reads `u` (fixed for this inner fixed point) and `v` at
-        // the state's successors, so a state that failed stays failed
-        // until one of its successors joins `v`: only `dirty` states are
-        // re-checked. Passes still run in index order, so every state
-        // joins in the same pass as under a full re-check.
-        let mut dirty = vec![true; n];
-        loop {
-            let mut changed = false;
-            for i in 0..n {
-                if !std::mem::take(&mut dirty[i]) || v[i] || !u[i] {
+        let mut work: Vec<usize> = (0..n).filter(|&i| v[i]).collect();
+        while let Some(t) = work.pop() {
+            for &p in &pred[pred_start[t] as usize..pred_start[t + 1] as usize] {
+                let i = p as usize;
+                if v[i] || !u[i] {
                     continue;
                 }
                 checks += 1;
-                if !has_progress_choice(art, &u, &v, i) {
-                    continue;
+                if has_progress_choice(art, &u, &v, i) {
+                    v[i] = true;
+                    work.push(i);
                 }
-                v[i] = true;
-                changed = true;
-                for &p in &pred[pred_start[i] as usize..pred_start[i + 1] as usize] {
-                    dirty[p as usize] = true;
-                }
-            }
-            if !changed {
-                break;
             }
         }
         if v == u {
@@ -867,11 +859,11 @@ mod tests {
     }
 
     #[test]
-    fn dirty_prob1_matches_the_full_pass_reference() {
+    fn worklist_prob1_matches_the_full_pass_reference() {
         let config = Config::default()
             .with_cases(cases_from_env(256))
             .with_corpus(default_corpus_dir());
-        check("audit-prob1-dirty", &config, &small_model(), |art| {
+        check("audit-prob1-worklist", &config, &small_model(), |art| {
             let (new, old) = (prob1(art), reference_prob1(art));
             if new == old {
                 Ok(())

@@ -138,7 +138,11 @@ pub fn audit_solution_sound(
     kind: ValueKind,
     epsilon: f64,
 ) -> (AuditReport, Option<BoundsCertificate>) {
-    let mut report = audit_model(art);
+    let telemetry = meda_telemetry::global();
+    let mut report = {
+        let _span = telemetry.span("audit.model");
+        audit_model(art)
+    };
     if !report.is_clean() {
         return (report, None);
     }
@@ -151,6 +155,7 @@ pub fn audit_solution_sound(
             return (report, None);
         }
     };
+    let _span = telemetry.span("audit.verify");
     report.violations.extend(verify_bounds(art, &cert));
     report
         .violations

@@ -64,7 +64,7 @@ use meda_sim::{
     SupervisorConfig,
 };
 use meda_synth::{
-    canonicalize, materialize, max_reach_probability, min_expected_cycles_with_reach, synthesize,
+    canonicalize, materialize, max_reach_probability, min_expected_cycles, synthesize,
     PersistentCache, Query, SolverOptions,
 };
 
@@ -1122,7 +1122,7 @@ pub fn bounds_bracket_solver(scenario: &RoutingScenario) -> Result<(), String> {
         .map_err(|e| format!("model failed to build: {e:?}"))?;
     let art = ModelArtifact::from(&mdp);
     let reach = max_reach_probability(&mdp, SolverOptions::default());
-    let cycles = min_expected_cycles_with_reach(&mdp, SolverOptions::default(), &reach);
+    let cycles = min_expected_cycles(&mdp, SolverOptions::default());
     for (kind, result) in [
         (ValueKind::Reachability, &reach),
         (ValueKind::ExpectedCycles, &cycles),

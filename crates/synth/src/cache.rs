@@ -1,6 +1,6 @@
 //! Persistent, content-addressed strategy cache — the `meda-cache/1`
-//! on-disk store behind `meda serve` and the adaptive router's warm path
-//! (DESIGN.md §16).
+//! on-disk store behind `meda serve` (DESIGN.md §16). The adaptive router
+//! does not use it: it keeps only the in-memory [`crate::StrategyLibrary`].
 //!
 //! Each entry is one JSON file named by the canonical job's FNV digest
 //! (`<16 hex>.json`), written with the in-tree [`meda_telemetry::Json`]

@@ -180,13 +180,13 @@ impl RobustGame {
         }
 
         // For Rmin, seed hopeless states with ∞ via the budget-0 (plain
-        // MDP) reachability: interference is transient, so a state that
+        // MDP) Prob1 set: interference is transient, so a state that
         // reaches the goal a.s. without interference still does under a
         // finite budget (the adversary runs out).
         if cycles {
-            let reach = crate::max_reach_probability(&self.base, options.clone());
+            let prob1 = crate::solver::prob1_states(&self.base);
             for i in 0..n {
-                if !self.base.is_goal(i) && reach.values[i] < 1.0 - 1e-6 {
+                if !prob1[i] {
                     for b in 0..width {
                         values[i * width + b] = f64::INFINITY;
                     }

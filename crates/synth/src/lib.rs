@@ -70,7 +70,6 @@ pub use serve::{
     parse_request, run_batch, run_stream, BatchOutcome, ServeEngine, ServeOp, ServeRequest,
 };
 pub use solver::{
-    max_reach_probability, min_expected_cycles, min_expected_cycles_with_reach, SolverMethod,
-    SolverOptions, SolverResult,
+    max_reach_probability, min_expected_cycles, SolverMethod, SolverOptions, SolverResult,
 };
 pub use strategy::{synthesize, RoutingStrategy, SynthesisError};

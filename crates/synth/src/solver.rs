@@ -11,22 +11,28 @@
 //!   policy evaluation — then re-sorts the sweep order by current value
 //!   (ascending for `Rmin`, descending for `Pmax`) between passes.
 //!   Value order is a label-correcting order: an optimal action's target
-//!   is strictly closer to the goal than its source, so each sweep
-//!   evaluates the current greedy policy near-exactly and the loop
-//!   behaves like Howard policy iteration — a handful of sweeps at any
-//!   scale — without materializing a policy graph (whose ordinal-move
-//!   branches genuinely contain cycles).
+//!   is usually closer to the goal than its source, so each sweep carries
+//!   the current greedy policy's values much of the way to its fixed
+//!   point without materializing a policy graph (whose ordinal-move
+//!   branches genuinely contain cycles). Only much of the way: on rough
+//!   fields the sweep delta falls just a few times per sweep (a 90×90
+//!   d3×3 Table V cell took 23 sweeps). So `Rmin` runs modified policy
+//!   iteration: after each greedy sweep, up to two evaluation sweeps in
+//!   the same order back up only the choice that sweep picked per state
+//!   (about 3 branches against about 24) and stop early once their delta
+//!   falls below `ε / 10`. Convergence is still a greedy sweep's call.
 //! * [`SolverMethod::GaussSeidel`] — the pre-condensation engine, kept
 //!   verbatim (whole-vector sweeps, unfactored `Pmax` backup) as the
 //!   reference oracle and the benchmark baseline.
 //!
 //! The structured methods additionally restrict numeric iteration to the
 //! states that need it: a graph-only qualitative precomputation (the
-//! classic Prob0/Prob1 split — see [`pmax_qualitative`]) pins `Pmax` to
+//! classic Prob0/Prob1 split — see [`qualitative`]) pins `Pmax` to
 //! exactly 0 or 1 wherever reachability is decided by structure alone, and
-//! `Rmin`'s `∞`-seeded states never enter a sweep order. On a healthy
-//! field — where every move has positive success probability — the entire
-//! `Pmax` solve reduces to two graph traversals.
+//! `Rmin` iterates on the Prob1 states only: the rest have `Rmin = ∞` and
+//! never enter a sweep order, so `Rmin` needs no `Pmax` solve. On a
+//! healthy field — where every move has positive success probability —
+//! the entire `Pmax` solve reduces to two graph traversals.
 //!
 //! Whatever the method, the engine only declares convergence after a
 //! **confirmation sweep**: one full Jacobi pass against the frozen iterate
@@ -142,8 +148,13 @@ struct Kernel<'a> {
     frozen: Vec<bool>,
 }
 
-/// "No choice picked" sentinel for the qualitative witness arrays.
+/// "No choice picked" sentinel for the qualitative witness arrays and the
+/// evaluation sweeps' recorded picks.
 const NO_PICK: u32 = u32::MAX;
+
+/// Policy-evaluation sweeps after each greedy `Rmin` sweep of a cyclic
+/// component (fewer when their delta drops below `ε / 10` first).
+const EVAL_SWEEPS: usize = 2;
 
 impl Kernel<'_> {
     /// Full greedy backup: optimizes over every choice, returning the new
@@ -152,7 +163,10 @@ impl Kernel<'_> {
         match self.op {
             Op::Pmax if self.legacy => self.eval_pmax_legacy(i, values),
             Op::Pmax => self.eval_pmax(i, values),
-            Op::Rmin => self.eval_rmin(i, values, choice),
+            Op::Rmin => {
+                let (v, a, _) = self.eval_rmin(i, values, choice);
+                (v, a)
+            }
         }
     }
 
@@ -226,15 +240,17 @@ impl Kernel<'_> {
     }
 
     /// `v(s) ← min_a (1 + Σ_{s'≠s} p·v) / (1 − p_self)`, skipping actions
-    /// with an `∞`-valued successor unless all are.
+    /// with an `∞`-valued successor unless all are. Also returns the index
+    /// of the picked choice ([`NO_PICK`] when the backup kept the current
+    /// value).
     fn eval_rmin(
         &self,
         i: usize,
         values: &[f64],
         choice: &[Option<Action>],
-    ) -> (f64, Option<Action>) {
+    ) -> (f64, Option<Action>, u32) {
         if self.goal[i] {
-            return (0.0, None);
+            return (0.0, None, NO_PICK);
         }
         let current = values[i];
         // A frozen `∞` seed (no almost-sure strategy) must stay `∞`. Under
@@ -242,43 +258,50 @@ impl Kernel<'_> {
         // start active states at `∞` too (from-above iteration) and rely
         // on the mask instead.
         if current.is_infinite() && (self.legacy || self.frozen.get(i) == Some(&true)) {
-            return (current, None);
+            return (current, None, NO_PICK);
         }
-        let near_one = 1.0 - 1e-12;
         let mut best = f64::INFINITY;
-        let mut best_action = None;
+        let mut pick = NO_PICK;
         let c_lo = self.state_choice_start[i] as usize;
         let c_hi = self.state_choice_start[i + 1] as usize;
-        'choices: for c in c_lo..c_hi {
-            let mut p_self = 0.0;
-            let mut rest = 0.0;
-            let b_lo = self.choice_branch_start[c] as usize;
-            let b_hi = self.choice_branch_start[c + 1] as usize;
-            for b in b_lo..b_hi {
-                let j = self.branch_target[b] as usize;
-                let p = self.probs[b];
-                if j == i {
-                    p_self += p;
-                } else if values[j].is_infinite() {
-                    continue 'choices;
-                } else {
-                    rest += p * values[j];
+        for c in c_lo..c_hi {
+            if let Some(v) = self.rmin_choice(i, c, values) {
+                if v < best {
+                    best = v;
+                    pick = c as u32;
                 }
-            }
-            if p_self >= near_one {
-                continue;
-            }
-            let v = (1.0 + rest) / (1.0 - p_self);
-            if v < best {
-                best = v;
-                best_action = Some(self.choice_action[c]);
             }
         }
         if best.is_finite() {
-            (best, best_action)
+            (best, Some(self.choice_action[pick as usize]), pick)
         } else {
-            (current, choice[i])
+            (current, choice[i], NO_PICK)
         }
+    }
+
+    /// The `Rmin` backup of state `i` through choice `c` alone:
+    /// `(1 + Σ_{s'≠s} p·v) / (1 − p_self)`, or `None` when a successor is
+    /// `∞` or the choice is (numerically) a pure self-loop.
+    fn rmin_choice(&self, i: usize, c: usize, values: &[f64]) -> Option<f64> {
+        let mut p_self = 0.0;
+        let mut rest = 0.0;
+        let b_lo = self.choice_branch_start[c] as usize;
+        let b_hi = self.choice_branch_start[c + 1] as usize;
+        for b in b_lo..b_hi {
+            let j = self.branch_target[b] as usize;
+            let p = self.probs[b];
+            if j == i {
+                p_self += p;
+            } else if values[j].is_infinite() {
+                return None;
+            } else {
+                rest += p * values[j];
+            }
+        }
+        if p_self >= 1.0 - 1e-12 {
+            return None;
+        }
+        Some((1.0 + rest) / (1.0 - p_self))
     }
 }
 
@@ -339,8 +362,14 @@ impl Preds {
     }
 }
 
-/// Output of [`pmax_qualitative`]: the graph-decided `Pmax` regions.
+/// Output of [`qualitative`]: the graph-decided regions both queries
+/// start from.
 struct Qualitative {
+    /// Goal flag per state.
+    goal: Vec<bool>,
+    /// The predecessor lists, built once and handed on to the topological
+    /// method's sweep ordering.
+    preds: Preds,
     /// States with *any* path to the goal. The complement has `Pmax`
     /// exactly 0 (zero-probability branches never enter the CSR, so every
     /// CSR edge is a real path).
@@ -355,23 +384,26 @@ struct Qualitative {
     witness: Vec<u32>,
 }
 
-/// Graph-only qualitative precomputation for `Pmax` — the classic
-/// Prob0/Prob1E split from probabilistic model checking. `reach` is plain
-/// backward reachability; `prob1` is the greatest fixed point
+/// Graph-only qualitative precomputation — the classic Prob0/Prob1E split
+/// from probabilistic model checking. `reach` is plain backward
+/// reachability; `prob1` is the greatest fixed point
 /// `νZ. μY. goal ∪ {s | ∃a: succ(s,a) ⊆ Z ∧ succ(s,a) ∩ Y ≠ ∅}`,
 /// computed with a worklist-driven inner pass (each candidate re-checked
-/// whenever one of its successors joins `Y`). Only states in neither
-/// region need numeric iteration — typically none on a healthy field.
-fn pmax_qualitative(
-    state_choice_start: &[u32],
-    choice_branch_start: &[u32],
-    branch_target: &[u32],
-    goal: &[bool],
-    preds: &Preds,
-) -> Qualitative {
-    let n = goal.len();
+/// whenever one of its successors joins `Y`). Only `Pmax` states in
+/// neither region need numeric iteration — typically none on a healthy
+/// field — and only `prob1` states have a finite `Rmin`.
+fn qualitative(mdp: &RoutingMdp) -> Qualitative {
+    let csr = mdp.csr();
+    let (state_choice_start, choice_branch_start, branch_target) = (
+        csr.state_choice_start,
+        csr.choice_branch_start,
+        csr.branch_target,
+    );
+    let n = mdp.len();
+    let goal: Vec<bool> = (0..n).map(|i| mdp.is_goal(i)).collect();
+    let preds = Preds::build(state_choice_start, choice_branch_start, branch_target);
     let goal_list = || (0..n as u32).filter(|&i| goal[i as usize]);
-    let mut reach = goal.to_vec();
+    let mut reach = goal.clone();
     let mut stack: Vec<u32> = goal_list().collect();
     while let Some(t) = stack.pop() {
         for &p in preds.of(t as usize) {
@@ -429,6 +461,8 @@ fn pmax_qualitative(
         std::mem::swap(&mut z, &mut y);
     }
     Qualitative {
+        goal,
+        preds,
         reach,
         prob1: z,
         witness,
@@ -442,6 +476,9 @@ struct TopoScratch {
     dist: Vec<u32>,
     /// The within-component sweep order.
     order: Vec<u32>,
+    /// The choice index each state's latest greedy `Rmin` backup picked
+    /// ([`NO_PICK`] = kept its value), read by the evaluation sweeps.
+    pick: Vec<u32>,
 }
 
 // ---------------------------------------------------------------------------
@@ -477,11 +514,11 @@ struct SolveSpec<'a> {
 }
 
 /// Method-specific state, built once per solve.
-enum MethodState {
+enum MethodState<'a> {
     GaussSeidel,
     Topological {
         cond: Condensation,
-        preds: Preds,
+        preds: &'a Preds,
         scratch: TopoScratch,
     },
 }
@@ -497,6 +534,8 @@ struct Engine<'a> {
     active: Vec<bool>,
     /// Full greedy (all-choice) sweeps, for telemetry.
     greedy_sweeps: u64,
+    /// `Rmin` policy-evaluation (picked-choice) sweeps, for telemetry.
+    eval_sweeps: u64,
     scratch_v: Vec<f64>,
     scratch_c: Vec<Option<Action>>,
 }
@@ -568,14 +607,17 @@ impl Engine<'_> {
     /// [`meda_core::RoutingMdp::condensation`]). Singletons get exactly
     /// one (self-loop-factored, hence exact) backup. A cyclic component
     /// first sweeps in choice-readiness order — which collapses the
-    /// from-above `∞` wavefront in one pass — then re-aligns the sweep
-    /// order with the current greedy policy between sweeps: a backward BFS
-    /// along argbest branches places every state after its policy
-    /// successors, so each sweep evaluates the current policy (acyclic
-    /// after self-loop factoring) essentially exactly while also taking
-    /// the next greedy improvement. The loop is Howard policy iteration in
-    /// sweep clothing and converges in a handful of rounds instead of the
-    /// ~O(path length) sweeps a fixed order needs.
+    /// from-above `∞` wavefront in one pass, evaluating a proper policy
+    /// exactly — then re-sorts the sweep order by value between sweeps,
+    /// which places most states after their policy successors, so each
+    /// sweep both evaluates the current policy approximately and takes the
+    /// next greedy improvement, instead of the ~O(path length) sweeps a
+    /// fixed order needs. For `Rmin`, every greedy sweep after the one that
+    /// collapsed the wavefront is followed by up to [`EVAL_SWEEPS`]
+    /// evaluation sweeps over the picked choices (modified policy
+    /// iteration), which finish most of the evaluation at an eighth of the
+    /// cost; they stop once their delta is below `ε / 10`. Only a greedy
+    /// sweep with delta below `ε` ends the component.
     fn topological_phase(
         &mut self,
         cond: &Condensation,
@@ -585,7 +627,8 @@ impl Engine<'_> {
         choice: &mut [Option<Action>],
         sweeps_hist: &Histogram,
     ) -> Phase {
-        let TopoScratch { dist, order } = scratch;
+        let TopoScratch { dist, order, pick } = scratch;
+        let rmin = self.kernel.op == Op::Rmin;
         for k in 0..cond.components() {
             let members = cond.members_of(k);
             if members.len() == 1 {
@@ -665,10 +708,18 @@ impl Engine<'_> {
                 }
                 sweeps += 1;
                 self.greedy_sweeps += 1;
-                let delta = gs_sweep(&self.kernel, order, values, choice);
+                let delta = if rmin {
+                    picking_sweep(&self.kernel, order, values, choice, pick)
+                } else {
+                    gs_sweep(&self.kernel, order, values, choice)
+                };
                 if delta < self.epsilon {
                     break Phase::Done;
                 }
+                // A sweep that collapses the wavefront has just evaluated
+                // the proper policy it built exactly; only later sweeps
+                // leave evaluation work behind.
+                let collapsing = wave;
                 if wave {
                     // The sweep's delta is `∞` whenever any state went
                     // `∞ → finite`, so it cannot tell a collapsed
@@ -686,8 +737,9 @@ impl Engine<'_> {
                 // away from the goal — so sweeping cheapest-first (`Rmin`)
                 // or highest-first (`Pmax`) puts nearly every policy
                 // successor before its predecessors, and one Gauss–Seidel
-                // pass evaluates the current greedy policy essentially
-                // exactly (a label-correcting order, as in Dijkstra). A
+                // pass carries the current greedy policy's values much of
+                // the way to its fixed point (a label-correcting order, as
+                // in Dijkstra). A
                 // policy-graph BFS cannot do this: ordinal moves couple
                 // each state to three neighbors and adjacent states
                 // picking different diagonals form real cycles. The rare
@@ -702,6 +754,24 @@ impl Engine<'_> {
                         Op::Pmax => ord.reverse().then(a.cmp(&b)),
                     }
                 });
+                // Modified policy iteration (`Rmin` only): the greedy
+                // sweep improved the policy; a few sweeps that back up only
+                // its picked choices — about an eighth of a greedy
+                // backup's branches — carry that policy's values much of
+                // the way to its fixed point before the next improvement.
+                // A sweep the budget cannot cover ends the loop at the
+                // next greedy sweep's charge, which costs the same.
+                if rmin && !collapsing {
+                    for _ in 0..EVAL_SWEEPS {
+                        if !self.try_charge(m) {
+                            break;
+                        }
+                        self.eval_sweeps += 1;
+                        if eval_sweep(&self.kernel, order, pick, values) < self.epsilon / 10.0 {
+                            break;
+                        }
+                    }
+                }
             };
             sweeps_hist.record(sweeps);
             for &u in order.iter() {
@@ -760,6 +830,50 @@ fn has_ready_choice(
     false
 }
 
+/// One in-place policy-evaluation sweep over `order`: each state with a
+/// recorded pick is backed up through that choice alone. Returns the max
+/// delta.
+fn eval_sweep(kernel: &Kernel<'_>, order: &[u32], pick: &[u32], values: &mut [f64]) -> f64 {
+    let mut delta = 0.0_f64;
+    for &iu in order {
+        let i = iu as usize;
+        let c = pick[i];
+        if c == NO_PICK {
+            continue;
+        }
+        if let Some(v) = kernel.rmin_choice(i, c as usize, values) {
+            if v != values[i] {
+                delta = delta.max((v - values[i]).abs());
+            }
+            values[i] = v;
+        }
+    }
+    delta
+}
+
+/// [`gs_sweep`] for `Rmin`, also recording each state's picked choice
+/// index in `pick` for the evaluation sweeps.
+fn picking_sweep(
+    kernel: &Kernel<'_>,
+    order: &[u32],
+    values: &mut [f64],
+    choice: &mut [Option<Action>],
+    pick: &mut [u32],
+) -> f64 {
+    let mut delta = 0.0_f64;
+    for &iu in order {
+        let i = iu as usize;
+        let (v, a, c) = kernel.eval_rmin(i, values, choice);
+        if v != values[i] {
+            delta = delta.max((v - values[i]).abs());
+        }
+        values[i] = v;
+        choice[i] = a;
+        pick[i] = c;
+    }
+    delta
+}
+
 /// One in-place greedy Gauss–Seidel sweep over `order`, returning the max
 /// delta.
 fn gs_sweep(
@@ -792,10 +906,14 @@ fn residual_p12(delta: f64) -> u64 {
 }
 
 /// Builds the method-specific state for a non-empty iteration domain:
-/// condensation + backward-BFS scratch for the topological method.
-fn build_method_state(mdp: &RoutingMdp, method: SolverMethod) -> MethodState {
+/// condensation, the shared predecessor lists and the sweep-order scratch
+/// for the topological method.
+fn build_method_state<'a>(
+    mdp: &RoutingMdp,
+    method: SolverMethod,
+    preds: &'a Preds,
+) -> MethodState<'a> {
     let telemetry = meda_telemetry::global();
-    let csr = mdp.csr();
     let n = mdp.len();
     match method {
         SolverMethod::GaussSeidel => MethodState::GaussSeidel,
@@ -810,17 +928,13 @@ fn build_method_state(mdp: &RoutingMdp, method: SolverMethod) -> MethodState {
                     sizes.record(m as u64);
                 }
             }
-            let preds = Preds::build(
-                csr.state_choice_start,
-                csr.choice_branch_start,
-                csr.branch_target,
-            );
             MethodState::Topological {
                 cond,
                 preds,
                 scratch: TopoScratch {
                     dist: vec![u32::MAX; n],
                     order: Vec::with_capacity(n),
+                    pick: vec![NO_PICK; n],
                 },
             }
         }
@@ -832,6 +946,7 @@ fn build_method_state(mdp: &RoutingMdp, method: SolverMethod) -> MethodState {
 fn run_engine(
     mdp: &RoutingMdp,
     spec: &SolveSpec<'_>,
+    preds: &Preds,
     options: &SolverOptions,
     values: &mut [f64],
     choice: &mut [Option<Action>],
@@ -861,6 +976,7 @@ fn run_engine(
         evals: 0,
         active,
         greedy_sweeps: 0,
+        eval_sweeps: 0,
         scratch_v: vec![0.0; n],
         scratch_c: vec![None; n],
     };
@@ -873,7 +989,7 @@ fn run_engine(
         // and the confirmation pass alone certifies and assigns choices.
         MethodState::GaussSeidel
     } else {
-        build_method_state(mdp, options.method)
+        build_method_state(mdp, options.method, preds)
     };
 
     let mut converged = false;
@@ -931,6 +1047,9 @@ fn run_engine(
     if eng.greedy_sweeps > 0 {
         telemetry.add("synth.solve.sweeps.greedy", eng.greedy_sweeps);
     }
+    if eng.eval_sweeps > 0 {
+        telemetry.add("synth.solve.sweeps.eval", eng.eval_sweeps);
+    }
     EngineOutcome {
         iterations: eng.evals.div_ceil(n.max(1)),
         converged,
@@ -938,93 +1057,31 @@ fn run_engine(
     }
 }
 
-/// Dispatches one query through the engine: restricts the iteration
-/// domain for the structured methods, runs the sweeps, and installs the
-/// `Pmax` witness choices.
+/// Runs one query through the engine from `init` over the `active`
+/// domain (`None` = every state, the Gauss–Seidel baseline).
 fn solve_query(
     mdp: &RoutingMdp,
     op: Op,
-    goal: &[bool],
-    init: &[f64],
-    domain: Option<Vec<bool>>,
+    qual: &Qualitative,
+    init: Vec<f64>,
+    active: Option<&[bool]>,
     options: &SolverOptions,
 ) -> SolverResult {
-    let method = options.method;
-    let csr = mdp.csr();
-    let n = mdp.len();
-    // The structured methods restrict numeric iteration to the states that
-    // need it. For `Pmax` the qualitative precomputation overrides the
-    // caller's init with the graph-decided exact values; for `Rmin` the
-    // `∞`-seeded states are frozen. The Gauss–Seidel baseline keeps the
-    // pre-optimization whole-vector behavior, caller init included.
-    let (init, active, qual): (Vec<f64>, Option<Vec<bool>>, Option<Qualitative>) = if method
-        == SolverMethod::GaussSeidel
-    {
-        (init.to_vec(), None, None)
-    } else {
-        match op {
-            Op::Pmax => {
-                let preds = Preds::build(
-                    csr.state_choice_start,
-                    csr.choice_branch_start,
-                    csr.branch_target,
-                );
-                let q = pmax_qualitative(
-                    csr.state_choice_start,
-                    csr.choice_branch_start,
-                    csr.branch_target,
-                    goal,
-                    &preds,
-                );
-                let telemetry = meda_telemetry::global();
-                let prob1 = q.prob1.iter().filter(|&&b| b).count();
-                let prob0 = q.reach.iter().filter(|&&b| !b).count();
-                telemetry.add("synth.solve.pmax.prob1", prob1 as u64);
-                telemetry.add("synth.solve.pmax.prob0", prob0 as u64);
-                telemetry.add("synth.solve.pmax.maybe", (n - prob1 - prob0) as u64);
-                let init = q
-                    .prob1
-                    .iter()
-                    .map(|&one| if one { 1.0 } else { 0.0 })
-                    .collect();
-                let active = (0..n).map(|i| q.reach[i] && !q.prob1[i]).collect();
-                (init, Some(active), Some(q))
-            }
-            Op::Rmin => {
-                // The caller knows which `∞`-seeded states are frozen
-                // (no a.s. strategy) versus merely *starting* at `∞`
-                // for the from-above iteration; fall back to the
-                // finite-init criterion when it does not say.
-                let active = domain.unwrap_or_else(|| init.iter().map(|v| v.is_finite()).collect());
-                (init.to_vec(), Some(active), None)
-            }
-        }
-    };
     let mut values = init;
-    let mut choice: Vec<Option<Action>> = vec![None; n];
+    let mut choice: Vec<Option<Action>> = vec![None; mdp.len()];
     let spec = SolveSpec {
         op,
-        goal,
-        active: active.as_deref(),
+        goal: &qual.goal,
+        active,
     };
-    let out = run_engine(mdp, &spec, options, &mut values, &mut choice);
-    // A certified almost-surely-winning action beats the degenerate
-    // first-of-equals tie break the confirmation sweep leaves on `Pmax = 1`
-    // states (where every sensible action backs up to exactly 1).
-    if let Some(q) = &qual {
-        for (i, c) in q.witness.iter().enumerate() {
-            if q.prob1[i] && !goal[i] && *c != NO_PICK {
-                choice[i] = Some(csr.choice_action[*c as usize]);
-            }
-        }
-    }
+    let out = run_engine(mdp, &spec, &qual.preds, options, &mut values, &mut choice);
     SolverResult {
         values,
         choice,
         iterations: out.iterations,
         converged: out.converged,
         residual: out.residual,
-        method,
+        method: options.method,
     }
 }
 
@@ -1036,7 +1093,7 @@ fn solve_query(
 /// monotone from below, so the fixed point is the least fixed point — the
 /// correct maximal reachability probability.
 ///
-/// The structured methods first run the graph-only [`pmax_qualitative`]
+/// The structured methods first run the graph-only [`qualitative`]
 /// precomputation, pinning states to exactly 0 (no path to goal) or
 /// exactly 1 (an almost-surely-winning strategy exists, whose witness
 /// action becomes the state's choice) and iterating only the remainder —
@@ -1066,9 +1123,36 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
     let telemetry = meda_telemetry::global();
     let _solve_span = telemetry.span("solve.pmax");
     let n = mdp.len();
-    let goal: Vec<bool> = (0..n).map(|i| mdp.is_goal(i)).collect();
-    let init: Vec<f64> = goal.iter().map(|&g| if g { 1.0 } else { 0.0 }).collect();
-    let result = solve_query(mdp, Op::Pmax, &goal, &init, None, &options);
+    let q = qualitative(mdp);
+    let result = if options.method == SolverMethod::GaussSeidel {
+        // The baseline keeps the pre-optimization whole-vector iteration
+        // from the raw goal indicator.
+        let init = q.goal.iter().map(|&g| if g { 1.0 } else { 0.0 }).collect();
+        solve_query(mdp, Op::Pmax, &q, init, None, &options)
+    } else {
+        let prob1 = q.prob1.iter().filter(|&&b| b).count();
+        let prob0 = q.reach.iter().filter(|&&b| !b).count();
+        telemetry.add("synth.solve.pmax.prob1", prob1 as u64);
+        telemetry.add("synth.solve.pmax.prob0", prob0 as u64);
+        telemetry.add("synth.solve.pmax.maybe", (n - prob1 - prob0) as u64);
+        let init = q
+            .prob1
+            .iter()
+            .map(|&one| if one { 1.0 } else { 0.0 })
+            .collect();
+        let active: Vec<bool> = (0..n).map(|i| q.reach[i] && !q.prob1[i]).collect();
+        let mut result = solve_query(mdp, Op::Pmax, &q, init, Some(&active), &options);
+        // A certified almost-surely-winning action beats the degenerate
+        // first-of-equals tie break the confirmation sweep leaves on
+        // `Pmax = 1` states (where every sensible action backs up to
+        // exactly 1).
+        for (i, c) in q.witness.iter().enumerate() {
+            if q.prob1[i] && !q.goal[i] && *c != NO_PICK {
+                result.choice[i] = Some(mdp.csr().choice_action[*c as usize]);
+            }
+        }
+        result
+    };
     telemetry.add("synth.solve.pmax.count", 1);
     telemetry.add("synth.solve.pmax.iterations", result.iterations as u64);
     debug_certify(mdp, &result, meda_audit::ValueKind::Reachability, &options);
@@ -1087,12 +1171,10 @@ pub fn max_reach_probability(mdp: &RoutingMdp, options: SolverOptions) -> Solver
 /// round-off) rather than the orders-of-magnitude slack the unconfirmed
 /// in-place delta used to need.
 ///
-/// Only the residual over finite states is asserted here: near the
-/// `Pmax ≥ 1 − 1e-6` seeding threshold a heavily degraded field can make
-/// the strict finite/infinite-consistency check disagree with the solver's
-/// thresholded seeding by design, and the hook must never fail a sound
-/// solve. The strict check runs in the audit CLI and the corpus tests,
-/// where the fields are controlled.
+/// Only the residual over finite states and the range are asserted here,
+/// as the hook must never fail a sound solve. The strict
+/// finite/infinite-consistency check runs in the audit CLI and the corpus
+/// tests, where the fields are controlled.
 #[allow(unused_variables)]
 fn debug_certify(
     mdp: &RoutingMdp,
@@ -1122,33 +1204,42 @@ fn debug_certify(
 ///
 /// States from which the goal is not reachable with probability 1 under any
 /// strategy keep the value `∞` (the `(π, k) = (∅, ∞)` case of Algorithm 2).
-/// An action with an `∞`-valued successor is skipped unless all actions are,
-/// and a pure self-loop contributes `∞` directly.
-///
-/// Computes the required `Pmax` reachability internally; callers that
-/// already hold it should use [`min_expected_cycles_with_reach`].
+/// They are exactly the states outside the graph-only Prob1 set, so no
+/// `Pmax` solve is needed to find them. An action with an `∞`-valued
+/// successor is skipped unless all are, and a pure self-loop contributes
+/// `∞` directly.
 #[must_use]
 pub fn min_expected_cycles(mdp: &RoutingMdp, options: SolverOptions) -> SolverResult {
-    let reach = max_reach_probability(mdp, options.clone());
-    min_expected_cycles_with_reach(mdp, options, &reach)
+    let _solve_span = meda_telemetry::global().span("solve.rmin");
+    solve_rmin(mdp, &qualitative(mdp), &options)
 }
 
-/// [`min_expected_cycles`] reusing an already-computed
-/// [`max_reach_probability`] result for the `Pmax = 1` pre-seeding, so the
-/// reachability fixed point is not recomputed.
-#[must_use]
-pub fn min_expected_cycles_with_reach(
+/// [`min_expected_cycles`] for synthesis, which only wants a strategy from
+/// the initial state: `None`, before any numeric work, when the initial
+/// state is outside Prob1 (its `Rmin` is `∞`).
+pub(crate) fn min_expected_cycles_from_init(
     mdp: &RoutingMdp,
     options: SolverOptions,
-    reach: &SolverResult,
-) -> SolverResult {
+) -> Option<SolverResult> {
+    let _solve_span = meda_telemetry::global().span("solve.rmin");
+    let q = qualitative(mdp);
+    q.prob1[mdp.init()].then(|| solve_rmin(mdp, &q, &options))
+}
+
+/// The states with a strategy reaching the goal almost surely — exactly
+/// those with a finite `Rmin` (goal states included).
+pub(crate) fn prob1_states(mdp: &RoutingMdp) -> Vec<bool> {
+    qualitative(mdp).prob1
+}
+
+fn solve_rmin(mdp: &RoutingMdp, q: &Qualitative, options: &SolverOptions) -> SolverResult {
     let telemetry = meda_telemetry::global();
-    let _solve_span = telemetry.span("solve.rmin");
-    let n = mdp.len();
-    assert_eq!(reach.values.len(), n, "reach result from a different MDP");
-    let goal: Vec<bool> = (0..n).map(|i| mdp.is_goal(i)).collect();
-    // Only states with Pmax = 1 admit finite expected time; seed the rest
-    // with ∞ so the SSP iteration cannot cheat through them.
+    telemetry.add(
+        "synth.solve.rmin.prob1",
+        q.prob1.iter().filter(|&&b| b).count() as u64,
+    );
+    // Only Prob1 states admit finite expected time; seed the rest with ∞
+    // so the SSP iteration cannot cheat through them.
     //
     // The structured engines start the iterable states at ∞ too and
     // converge *from above*: every cycle costs at least one cycle per
@@ -1161,34 +1252,25 @@ pub fn min_expected_cycles_with_reach(
     // where the classic from-0 ascent instead creeps for hundreds of
     // sweeps as same-layer neighbors bootstrap off each other's
     // underestimates. The Gauss–Seidel baseline keeps the pre-optimization
-    // from-0 ascent.
+    // from-0 ascent, where every `∞` is a frozen seed.
     let from_above = options.method != SolverMethod::GaussSeidel;
-    let init: Vec<f64> = (0..n)
+    let init: Vec<f64> = (0..mdp.len())
         .map(|i| {
-            if goal[i] {
+            if q.goal[i] {
                 0.0
-            } else if reach.values[i] < 1.0 - 1e-6 || from_above {
+            } else if !q.prob1[i] || from_above {
                 f64::INFINITY
             } else {
                 0.0
             }
         })
         .collect();
-    let domain: Option<Vec<bool>> = from_above.then(|| {
-        (0..n)
-            .map(|i| goal[i] || reach.values[i] >= 1.0 - 1e-6)
-            .collect()
-    });
-    let result = solve_query(mdp, Op::Rmin, &goal, &init, domain, &options);
+    // Goal states are in Prob1, so the domain is Prob1 itself.
+    let domain = from_above.then_some(q.prob1.as_slice());
+    let result = solve_query(mdp, Op::Rmin, q, init, domain, options);
     telemetry.add("synth.solve.rmin.count", 1);
     telemetry.add("synth.solve.rmin.iterations", result.iterations as u64);
-
-    debug_certify(
-        mdp,
-        &result,
-        meda_audit::ValueKind::ExpectedCycles,
-        &options,
-    );
+    debug_certify(mdp, &result, meda_audit::ValueKind::ExpectedCycles, options);
     result
 }
 
@@ -1319,14 +1401,48 @@ mod tests {
     }
 
     #[test]
-    fn with_reach_matches_recomputed_reach() {
-        let mdp = area_mdp(0.6);
-        let opts = SolverOptions::default();
-        let reach = max_reach_probability(&mdp, opts.clone());
-        let via = min_expected_cycles_with_reach(&mdp, opts.clone(), &reach);
-        let direct = min_expected_cycles(&mdp, opts);
-        assert_eq!(via.values, direct.values);
-        assert_eq!(via.choice, direct.choice);
+    fn iteration_cap_also_bounds_evaluation_sweeps() {
+        // A rough field with ordinal moves: the cyclic component needs
+        // several greedy sweeps, each followed by evaluation sweeps.
+        let dims = ChipDims::new(12, 12);
+        let f = Grid::from_fn(dims, |c: Cell| {
+            0.4 + 0.2 * f64::from((c.x * 7 + c.y * 13).rem_euclid(3))
+        });
+        let mdp = RoutingMdp::build(
+            Rect::new(1, 1, 2, 2),
+            Rect::new(11, 11, 12, 12),
+            Rect::new(1, 1, 12, 12),
+            &RawField::new(f),
+            &ActionConfig::moves_only(),
+        )
+        .unwrap();
+        let evals = || {
+            meda_telemetry::global()
+                .summary()
+                .counter("synth.solve.sweeps.eval")
+                .unwrap_or(0)
+        };
+        let before = evals();
+        let full = min_expected_cycles(&mdp, SolverOptions::default());
+        assert!(full.converged && full.iterations > 2, "{}", full.iterations);
+        assert!(evals() > before, "no evaluation sweep ran");
+        // Every evaluation backup is charged, so any smaller budget stops
+        // the solve unconverged, within that budget.
+        for cap in 1..full.iterations {
+            let r = min_expected_cycles(
+                &mdp,
+                SolverOptions {
+                    max_iterations: cap,
+                    ..SolverOptions::default()
+                },
+            );
+            assert!(!r.converged, "converged under cap {cap}");
+            assert!(
+                r.iterations <= cap,
+                "{} iterations under cap {cap}",
+                r.iterations
+            );
+        }
     }
 
     // -- structure-aware engine ---------------------------------------------

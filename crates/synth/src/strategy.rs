@@ -3,7 +3,8 @@ use std::fmt;
 use meda_core::{Action, RoutingMdp};
 use meda_grid::Rect;
 
-use crate::{max_reach_probability, min_expected_cycles_with_reach, Query, SolverOptions};
+use crate::solver::min_expected_cycles_from_init;
+use crate::{max_reach_probability, Query, SolverOptions};
 
 /// A synthesized memoryless droplet-routing strategy `π : S₁ → 𝒜₁` together
 /// with its optimal value — the `(π, k)` pair returned by Algorithm 2.
@@ -76,15 +77,14 @@ impl std::error::Error for SynthesisError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn synthesize(mdp: &RoutingMdp, query: Query) -> Result<RoutingStrategy, SynthesisError> {
-    // Both queries need the Pmax fixed point (Rmin for its ∞-seeding, and
-    // the NoStrategy diagnostics for the reported probability) — compute it
-    // once and reuse it.
-    let reach = max_reach_probability(mdp, SolverOptions::default());
-    let reach_at_init = reach.values[mdp.init()];
+    // `Pmax` at init, computed only for a `NoStrategy` diagnostic of `Rmin`.
+    let no_strategy = || SynthesisError::NoStrategy {
+        reach_probability: max_reach_probability(mdp, SolverOptions::default()).values[mdp.init()],
+    };
     let result = match query {
-        Query::MaxReachProbability => reach,
+        Query::MaxReachProbability => max_reach_probability(mdp, SolverOptions::default()),
         Query::MinExpectedCycles => {
-            min_expected_cycles_with_reach(mdp, SolverOptions::default(), &reach)
+            min_expected_cycles_from_init(mdp, SolverOptions::default()).ok_or_else(no_strategy)?
         }
     };
     if !result.converged {
@@ -96,8 +96,11 @@ pub fn synthesize(mdp: &RoutingMdp, query: Query) -> Result<RoutingStrategy, Syn
         Query::MinExpectedCycles => v0.is_finite(),
     };
     if !feasible && !mdp.is_goal(mdp.init()) {
-        return Err(SynthesisError::NoStrategy {
-            reach_probability: reach_at_init,
+        return Err(match query {
+            Query::MaxReachProbability => SynthesisError::NoStrategy {
+                reach_probability: v0,
+            },
+            Query::MinExpectedCycles => no_strategy(),
         });
     }
     Ok(RoutingStrategy {

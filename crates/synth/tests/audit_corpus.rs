@@ -23,7 +23,7 @@ use meda_core::{
 use meda_degradation::HealthLevel;
 use meda_grid::{ChipDims, Grid, Rect};
 use meda_rng::{Rng, SeedableRng, StdRng};
-use meda_synth::{max_reach_probability, min_expected_cycles_with_reach, SolverOptions};
+use meda_synth::{max_reach_probability, min_expected_cycles, SolverOptions};
 
 /// The pristine fixture battery: every geometry/field/hazard combination
 /// the workspace's own tests and experiments exercise.
@@ -118,7 +118,7 @@ fn solve_both(
     options: SolverOptions,
 ) -> (meda_synth::SolverResult, meda_synth::SolverResult) {
     let reach = max_reach_probability(mdp, options.clone());
-    let cycles = min_expected_cycles_with_reach(mdp, options, &reach);
+    let cycles = min_expected_cycles(mdp, options);
     (reach, cycles)
 }
 

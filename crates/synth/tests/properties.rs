@@ -4,7 +4,10 @@
 //! The degradation-monotonicity property runs under `meda-check`
 //! (shrinking plus the shared failure corpus).
 
-use meda_check::{arb, cases_from_env, check, choose_i32, default_corpus_dir, Config, Gen};
+use meda_audit::{prob1, ModelArtifact};
+use meda_check::{
+    arb, cases_from_env, check, choose_i32, default_corpus_dir, vec_of, weighted, Config, Gen,
+};
 use meda_core::{
     ActionConfig, HazardHandling, HealthField, HealthInterpretation, RawField, RoutingMdp,
     UniformField,
@@ -12,7 +15,9 @@ use meda_core::{
 use meda_degradation::quantize_health;
 use meda_grid::{Cell, ChipDims, Grid, Rect};
 use meda_rng::{Rng, SeedableRng, StdRng};
-use meda_synth::{max_reach_probability, min_expected_cycles, synthesize, Query, SolverOptions};
+use meda_synth::{
+    max_reach_probability, min_expected_cycles, synthesize, Query, SolverMethod, SolverOptions,
+};
 
 const CASES: usize = 32;
 
@@ -292,16 +297,21 @@ struct DegradedPair {
     goal: Rect,
 }
 
+/// A droplet of side `1..=max_side` inside `bounds` and a goal of the same
+/// shape anywhere inside them.
+fn start_and_goal(bounds: Rect, max_side: u32) -> Gen<(Rect, Rect)> {
+    arb::droplet_in(bounds, max_side).flat_map(move |&start| {
+        let (w, h) = (start.width(), start.height());
+        choose_i32(bounds.xa, bounds.xb - w as i32 + 1)
+            .zip(choose_i32(bounds.ya, bounds.yb - h as i32 + 1))
+            .map(move |&(gx, gy)| (start, Rect::with_size(gx, gy, w, h)))
+    })
+}
+
 fn degraded_pair() -> Gen<DegradedPair> {
     arb::dims(4, 8).flat_map(|&dims| {
         let bounds = dims.bounds();
-        arb::droplet_in(bounds, 2)
-            .flat_map(move |&start| {
-                let (w, h) = (start.width(), start.height());
-                choose_i32(bounds.xa, bounds.xb - w as i32 + 1)
-                    .zip(choose_i32(bounds.ya, bounds.yb - h as i32 + 1))
-                    .map(move |&(gx, gy)| (start, Rect::with_size(gx, gy, w, h)))
-            })
+        start_and_goal(bounds, 2)
             .zip(
                 arb::degradation_matrix(dims, 0.3, 1.0)
                     .zip(arb::degradation_matrix(dims, 0.5, 1.0)),
@@ -410,5 +420,105 @@ fn ordinal_partial_moves_break_degradation_monotonicity() {
     assert!(
         init_d < init_h - 0.5,
         "expected the degraded chip to finish faster: healthy {init_h}, degraded {init_d}"
+    );
+}
+
+/// A routing job on a degraded chip: a `d1`–`d3` droplet (each side 1–3
+/// cells), a goal of the same shape, forces in `(0.05, 1]` and about one
+/// cell in three dead (force 0), so some models have states outside
+/// Prob1 and cyclic components form around the dead cells.
+#[derive(Debug, Clone)]
+struct DegradedJob {
+    dims: ChipDims,
+    field: Grid<f64>,
+    start: Rect,
+    goal: Rect,
+}
+
+fn degraded_job() -> Gen<DegradedJob> {
+    arb::dims(6, 12).flat_map(|&dims| {
+        let bounds = dims.bounds();
+        let n = dims.cell_count();
+        let dead = vec_of(
+            weighted(vec![(2, Gen::constant(false)), (1, Gen::constant(true))]),
+            n,
+            n,
+        );
+        start_and_goal(bounds, 3)
+            .zip(arb::degradation_matrix(dims, 0.0, 0.95).zip(dead))
+            .map(move |case| {
+                // Loss `v` shrinks toward 0, a healthy cell.
+                let ((start, goal), (loss, dead)) = case;
+                let field = loss.map(|c, &v| {
+                    if dims.index_of(c).is_some_and(|i| dead[i]) {
+                        0.0
+                    } else {
+                        1.0 - v
+                    }
+                });
+                DegradedJob {
+                    dims,
+                    field,
+                    start: *start,
+                    goal: *goal,
+                }
+            })
+    })
+}
+
+/// The default solver (topological sweeps with policy-evaluation sweeps,
+/// domain seeded from Prob1) agrees with the Gauss–Seidel reference on
+/// every state of random degraded models with ordinal moves: the finite
+/// states are the same Prob1 states, and finite values differ by at most
+/// the solver's `ε` scaled by the value.
+#[test]
+fn default_rmin_matches_the_gauss_seidel_reference_on_degraded_fields() {
+    // States that reach the goal only with probability below 1 are rare
+    // in these models; 256 cases include some.
+    let config = Config::default()
+        .with_cases(cases_from_env(256))
+        .with_corpus(default_corpus_dir());
+    check(
+        "synth-rmin-matches-gauss-seidel",
+        &config,
+        &degraded_job(),
+        |job| {
+            let Ok(mdp) = RoutingMdp::build(
+                job.start,
+                job.goal,
+                job.dims.bounds(),
+                &RawField::new(job.field.clone()),
+                &ActionConfig::moves_only(),
+            ) else {
+                return Ok(());
+            };
+            let fast = min_expected_cycles(&mdp, SolverOptions::default());
+            let reference = min_expected_cycles(
+                &mdp,
+                SolverOptions {
+                    method: SolverMethod::GaussSeidel,
+                    ..SolverOptions::default()
+                },
+            );
+            if !(fast.converged && reference.converged) {
+                return Err("a solve failed to converge".into());
+            }
+            // The finite states are exactly the Prob1 states, by the
+            // auditor's own fixed point.
+            let prob1 = prob1(&ModelArtifact::from(&mdp));
+            let epsilon = SolverOptions::default().epsilon;
+            for (i, (&v, &r)) in fast.values.iter().zip(&reference.values).enumerate() {
+                if v.is_finite() != r.is_finite() || v.is_finite() != prob1[i] {
+                    return Err(format!(
+                        "state {i}: finiteness diverged ({v}, reference {r}, Prob1 {})",
+                        prob1[i]
+                    ));
+                }
+                if v.is_finite() && (v - r).abs() > epsilon * r.max(1.0) {
+                    return Err(format!("state {i}: {v} vs reference {r}"));
+                }
+            }
+            Ok(())
+        },
     );
 }

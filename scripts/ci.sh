@@ -15,8 +15,11 @@
 #   --quick   skip the full-mode bench bins and the profile smoke (the
 #             slow stages) — for fast local loops.
 #
-# Each stage is a named function run through `stage <name> <fn>`; a trap
-# prints the per-stage wall-time summary on exit, pass or fail.
+# Each stage is a named function run through `stage <name> <fn>`. A failed
+# stage is recorded and the run carries on, so one failure does not hide
+# the verdict of the stages after it; a trap prints the per-stage
+# wall-time summary on exit, marking every failed stage FAILED, and the
+# script exits nonzero if any stage failed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,6 +35,8 @@ done
 
 STAGE_NAMES=()
 STAGE_TIMES=()
+STAGE_FAILS=()
+FAILED_STAGES=()
 CURRENT_STAGE=""
 
 summary() {
@@ -40,13 +45,20 @@ summary() {
   echo "==> ci.sh stage summary"
   local i
   for ((i = 0; i < ${#STAGE_NAMES[@]}; i++)); do
-    printf '    %-24s %4ss\n' "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}"
+    printf '    %-24s %4ss%s\n' "${STAGE_NAMES[$i]}" "${STAGE_TIMES[$i]}" "${STAGE_FAILS[$i]}"
   done
-  if [ "$status" -ne 0 ] && [ -n "$CURRENT_STAGE" ]; then
+  if [ -n "$CURRENT_STAGE" ]; then
+    # The script itself was stopped mid-stage (a signal or an error
+    # outside a stage body).
     printf '    %-24s FAILED\n' "$CURRENT_STAGE"
-    echo "ci.sh: FAILED in stage '$CURRENT_STAGE' (exit $status)"
+    FAILED_STAGES+=("$CURRENT_STAGE")
+  fi
+  if [ "${#FAILED_STAGES[@]}" -gt 0 ]; then
+    echo "ci.sh: FAILED in stage(s): ${FAILED_STAGES[*]}"
   elif [ "$status" -eq 0 ]; then
     echo "ci.sh: all checks passed"
+  else
+    echo "ci.sh: FAILED (exit $status)"
   fi
 }
 trap summary EXIT
@@ -57,10 +69,27 @@ stage() {
   CURRENT_STAGE=$name
   echo
   echo "==> $name"
-  local start=$SECONDS
-  "$@"
+  local start=$SECONDS status
+  # The stage body runs in a subshell with errexit on, outside any
+  # conditional context (where bash would ignore errexit inside it), so
+  # its first failing command still ends the stage; only the script
+  # carries on.
+  set +e
+  (
+    set -e
+    "$@"
+  )
+  status=$?
+  set -e
   STAGE_NAMES+=("$name")
   STAGE_TIMES+=("$((SECONDS - start))")
+  if [ "$status" -eq 0 ]; then
+    STAGE_FAILS+=("")
+  else
+    STAGE_FAILS+=(" FAILED (exit $status)")
+    FAILED_STAGES+=("$name")
+    echo "ci.sh: stage '$name' FAILED (exit $status); continuing" >&2
+  fi
   CURRENT_STAGE=""
 }
 
@@ -215,3 +244,4 @@ else
   echo
   echo "==> --quick: skipping bench-full, chaos-full, makespan-full, serve-full, profile-smoke"
 fi
+[ "${#FAILED_STAGES[@]}" -eq 0 ]

@@ -32,8 +32,7 @@ use meda::sim::{
     RunConfig, Supervisor, SupervisorConfig,
 };
 use meda::synth::{
-    max_reach_probability, min_expected_cycles_with_reach, synthesize, to_prism_explicit, Query,
-    SolverOptions,
+    max_reach_probability, min_expected_cycles, synthesize, to_prism_explicit, Query, SolverOptions,
 };
 use meda_rng::SeedableRng;
 
@@ -459,7 +458,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         let artifact = ModelArtifact::from(&mdp);
         let options = SolverOptions::default();
         let reach = max_reach_probability(&mdp, options.clone());
-        let cycles = min_expected_cycles_with_reach(&mdp, options, &reach);
+        let cycles = min_expected_cycles(&mdp, options);
         let stats = mdp.stats();
         for (kind, result) in [
             (ValueKind::Reachability, &reach),

@@ -89,7 +89,9 @@ fn profile_emits_schema_stable_json() {
     };
     assert!(counter("core.mdp.builds") >= 1.0);
     assert!(counter("core.mdp.states") > 0.0);
-    assert!(counter("synth.solve.pmax.count") >= 1.0);
+    // Rmin seeds its domain from the graph-only Prob1 set (goal states
+    // included), with no Pmax solve.
+    assert!(counter("synth.solve.rmin.prob1") >= 1.0);
     assert!(counter("synth.solve.rmin.count") >= 1.0);
     assert!(counter("sim.cycles") > 0.0);
 
