@@ -46,7 +46,7 @@ use meda_synth::{min_expected_cycles, SolverMethod, SolverOptions};
 
 /// The pre-rewrite outcome generation, kept verbatim for the baseline: a
 /// fresh `Vec` per match arm plus a second one in `merge`. The in-tree
-/// [`transitions`] now fills a reusable buffer, so timing the baseline
+/// [`transitions`](meda_core::transitions) now fills a reusable buffer, so timing the baseline
 /// against it would understate the original builder's allocation cost.
 fn transitions_baseline(delta: Rect, action: Action, field: &dyn ForceProvider) -> Vec<Outcome> {
     let mean =

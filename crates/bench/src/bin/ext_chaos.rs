@@ -12,9 +12,9 @@
 //!   1. baseline: degradation-unaware shortest path,
 //!   2. recovery: reactive stall-triggered re-route,
 //!   3. adaptive: the paper's formal-synthesis router,
-//!   4. supervised-adaptive: adaptive under the [`Supervisor`]'s
-//!      escalation ladder (re-sense → re-synthesize → detour → abort the
-//!      operation and continue),
+//!   4. supervised-adaptive: adaptive under the escalation [`Ladder`]
+//!      (re-sense → re-synthesize → detour → abort the operation and
+//!      continue),
 //!   5. supervised-reconfig: the ladder plus the reconfiguration planner
 //!      that relocates swallowed target zones onto spare electrodes.
 //!
@@ -33,7 +33,7 @@
 //! [`RunConfig::sensed_feedback`]: meda_sim::RunConfig
 //! [`FaultPlan`]: meda_sim::FaultPlan
 //! [`FaultClass`]: meda_sim::experiment::FaultClass
-//! [`Supervisor`]: meda_sim::Supervisor
+//! [`Ladder`]: meda_sim::Ladder
 #![forbid(unsafe_code)]
 
 use meda_bench::{banner, header, row, BenchReport};

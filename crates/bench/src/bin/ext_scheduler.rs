@@ -9,8 +9,9 @@ use meda_bioassay::{benchmarks, RjHelper};
 use meda_grid::ChipDims;
 use meda_rng::SeedableRng;
 use meda_sim::{
-    AdaptiveConfig, AdaptiveRouter, BioassayRunner, Biochip, DegradationConfig, FaultMode,
-    FifoScheduler, HealthAwareScheduler, MoScheduler, RunConfig,
+    AdaptiveConfig, AdaptiveRouter, Biochip, DegradationConfig, FaultMode, FaultPlan,
+    FifoScheduler, FleetConfig, FleetRunner, HealthAwareScheduler, MoScheduler, OneRouter,
+    RunConfig,
 };
 
 fn main() {
@@ -29,11 +30,11 @@ fn main() {
         .plan(&benchmarks::multiplex_invitro((4, 4)))
         .expect("benchmark plans cleanly");
     let config = DegradationConfig::paper_with_faults(FaultMode::Clustered, 0.10);
-    let runner = BioassayRunner::new(RunConfig {
+    let runner = FleetRunner::new(FleetConfig::serial(RunConfig {
         k_max: 2_000,
         record_actuation: false,
         sensed_feedback: false,
-    });
+    }));
 
     let widths = [16, 10, 10, 12];
     header(&["scheduler", "success", "mean k", "mean synth"], &widths);
@@ -49,11 +50,12 @@ fn main() {
             let mut scheduler = make();
             // Two back-to-back executions so wear from run 1 informs run 2.
             for _ in 0..2 {
-                let outcome = runner.run_with_scheduler(
+                let outcome = runner.run(
                     &plan,
                     &mut chip,
-                    &mut router,
+                    &mut OneRouter(&mut router),
                     &mut *scheduler,
+                    &FaultPlan::none(),
                     &mut rng,
                 );
                 if outcome.is_success() {

@@ -92,7 +92,7 @@ impl<T: Clone + 'static> Gen<T> {
     }
 
     /// Keeps only values satisfying `keep`, regenerating up to
-    /// [`FILTER_RETRIES`] times; shrink candidates violating `keep` are
+    /// `FILTER_RETRIES` (100) times; shrink candidates violating `keep` are
     /// pruned so shrinking cannot escape the predicate.
     #[must_use]
     pub fn filter(self, keep: impl Fn(&T) -> bool + 'static) -> Gen<T> {

@@ -17,7 +17,7 @@
 //!    supervised execution must complete at least as many operations as
 //!    the unsupervised runner, and must succeed whenever it does (the
 //!    escalation ladder only engages after the shared prefix fails).
-//! 4. [`reconfig_dominance`] — arming the supervisor's reconfiguration
+//! 4. [`reconfig_dominance`] — arming the ladder's reconfiguration
 //!    rung must dominate the plain ladder the same way: the rung only
 //!    fires where supervised-only has already committed to aborting, so
 //!    relocation can only add completions (one carve-out for a relocation
@@ -58,10 +58,9 @@ use meda_grid::{Cell, ChipDims, Grid, Rect};
 use meda_rng::{Rng, SeedableRng, StdRng};
 use meda_sim::sensing::{locate_droplets, snap_to_size};
 use meda_sim::{
-    dependency_exemption, sample_outcome, AdaptiveConfig, AdaptivePool, AdaptiveRouter,
-    BaselineRouter, BioassayRunner, Biochip, ClonePool, DegradationConfig, FaultPlan,
-    FifoScheduler, FleetConfig, FleetRunner, Ladder, RunConfig, RunStatus, Supervisor,
-    SupervisorConfig,
+    dependency_exemption, sample_outcome, AdaptiveConfig, AdaptiveRouter, BaselineRouter, Biochip,
+    ClonePool, DegradationConfig, FaultPlan, FifoScheduler, FleetConfig, FleetOutcome, FleetRunner,
+    Ladder, OneRouter, RunConfig, RunStatus,
 };
 use meda_synth::{
     canonicalize, materialize, max_reach_probability, min_expected_cycles, synthesize,
@@ -682,7 +681,7 @@ fn is_connected(cells: &[Cell]) -> bool {
 // ---------------------------------------------------------------------------
 
 /// One dominance trial: a generated chip, a generated fault plan, and a
-/// run seed, executed with and without the supervisor.
+/// run seed, executed with and without the failure ladder.
 #[derive(Debug, Clone)]
 pub struct DominanceCase {
     /// Seed of the chip's degradation landscape.
@@ -736,36 +735,15 @@ pub fn supervisor_dominance(case: &DominanceCase) -> Result<(), String> {
         sensed_feedback: true,
     };
 
-    let chip = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng)
-    };
-
-    let plain = {
-        let mut chip = chip(case.chip_seed);
-        let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-        let mut rng = StdRng::seed_from_u64(case.run_seed);
-        BioassayRunner::new(run).run_with_chaos(
-            &plan,
-            &mut chip,
-            &mut router,
-            &mut FifoScheduler::new(),
-            &case.faults,
-            &mut rng,
-        )
-    };
-
-    let supervised = {
-        let mut chip = chip(case.chip_seed);
-        let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-        let mut rng = StdRng::seed_from_u64(case.run_seed);
-        Supervisor::new(SupervisorConfig {
-            run,
-            attempt_cycles: run.k_max,
-            ..SupervisorConfig::default()
-        })
-        .run(&plan, &mut chip, &mut router, &case.faults, &mut rng)
-    };
+    let (plain, ..) = dominance_run(case, &plan, FleetConfig::serial(run));
+    let (supervised, ..) = dominance_run(
+        case,
+        &plan,
+        FleetConfig {
+            attempt_cycles: Some(run.k_max),
+            ..FleetConfig::supervised(run)
+        },
+    );
 
     if plain.is_success() && !supervised.is_success() {
         return Err(format!(
@@ -811,21 +789,16 @@ pub fn reconfig_dominance(case: &DominanceCase) -> Result<(), String> {
         sensed_feedback: true,
     };
 
-    let chip = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng)
-    };
     let supervised_run = |reconfig_budget: u32| {
-        let mut chip = chip(case.chip_seed);
-        let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-        let mut rng = StdRng::seed_from_u64(case.run_seed);
-        Supervisor::new(SupervisorConfig {
-            run,
-            attempt_cycles: run.k_max,
-            reconfig_budget,
-            ..SupervisorConfig::default()
-        })
-        .run(&plan, &mut chip, &mut router, &case.faults, &mut rng)
+        let config = FleetConfig {
+            attempt_cycles: Some(run.k_max),
+            ladder: Some(Ladder {
+                reconfig_budget,
+                ..Ladder::default()
+            }),
+            ..FleetConfig::serial(run)
+        };
+        dominance_run(case, &plan, config).0
     };
 
     let plain_ladder = supervised_run(0);
@@ -860,6 +833,30 @@ fn master_mix_plan() -> Result<BioassayPlan, String> {
     RjHelper::new(ChipDims::PAPER)
         .plan(&benchmarks::master_mix())
         .map_err(|e| format!("master mix plan failed: {e:?}"))
+}
+
+/// One width-1 master-mix run of a dominance case under `config`: the
+/// case's paper-degraded chip, a fresh paper adaptive router, the case's
+/// run seed and fault plan. Returns the outcome, the chip's total
+/// actuations and the next draw of the run's RNG.
+fn dominance_run(
+    case: &DominanceCase,
+    plan: &BioassayPlan,
+    config: FleetConfig,
+) -> (FleetOutcome, u64, u64) {
+    let mut rng = StdRng::seed_from_u64(case.chip_seed);
+    let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
+    let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
+    let mut rng = StdRng::seed_from_u64(case.run_seed);
+    let out = FleetRunner::new(config).run(
+        plan,
+        &mut chip,
+        &mut OneRouter(&mut router),
+        &mut FifoScheduler::new(),
+        &case.faults,
+        &mut rng,
+    );
+    (out, chip.total_actuations(), rng.gen())
 }
 
 // ---------------------------------------------------------------------------
@@ -1009,50 +1006,19 @@ pub fn fleet_serial_equivalence(case: &DominanceCase) -> Result<(), String> {
         record_actuation: true,
         sensed_feedback: true,
     };
-    let chip = |seed: u64| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng)
-    };
-
-    let (serial, serial_wear, serial_draw) = {
-        let mut chip = chip(case.chip_seed);
-        let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-        let mut rng = StdRng::seed_from_u64(case.run_seed);
-        let out = BioassayRunner::new(run).run_with_chaos(
-            &plan,
-            &mut chip,
-            &mut router,
-            &mut FifoScheduler::new(),
-            &case.faults,
-            &mut rng,
-        );
-        (out, chip.total_actuations(), rng.gen::<u64>())
-    };
+    let (serial, serial_wear, serial_draw) = dominance_run(case, &plan, FleetConfig::serial(run));
     if !serial.is_success() {
         return Ok(());
     }
-    let (fleet, fleet_wear, fleet_draw) = {
-        let mut chip = chip(case.chip_seed);
-        let mut pool = AdaptivePool::new(AdaptiveConfig::paper());
-        let mut rng = StdRng::seed_from_u64(case.run_seed);
-        let laddered = FleetConfig {
-            attempt_cycles: Some(run.k_max),
-            ladder: Some(Ladder {
-                reconfig_budget: 2,
-                ..Ladder::default()
-            }),
-            ..FleetConfig::serial(run)
-        };
-        let out = FleetRunner::new(laddered).run(
-            &plan,
-            &mut chip,
-            &mut pool,
-            &mut FifoScheduler::new(),
-            &case.faults,
-            &mut rng,
-        );
-        (out, chip.total_actuations(), rng.gen::<u64>())
+    let laddered = FleetConfig {
+        attempt_cycles: Some(run.k_max),
+        ladder: Some(Ladder {
+            reconfig_budget: 2,
+            ..Ladder::default()
+        }),
+        ..FleetConfig::serial(run)
     };
+    let (fleet, fleet_wear, fleet_draw) = dominance_run(case, &plan, laddered);
 
     if (serial.status, serial.cycles, serial.completed_ops)
         != (fleet.status, fleet.cycles, fleet.completed_ops)

@@ -1,8 +1,8 @@
-//! Run configuration and outcomes, the serial [`BioassayRunner`] entry
-//! point (a width-1 [`FleetRunner`] run), and [`Exec`], the per-cycle
-//! physics every run shares: chaos deaths and defect fronts, wear,
-//! outcome sampling from the hidden **D**, and the location sensors. The
-//! cycle loop itself lives in the fleet module.
+//! Run configuration and status, the serial [`BioassayRunner`] entry
+//! point (a width-1 [`FleetRunner`] run over a [`OneRouter`] pool), and
+//! [`Exec`], the per-cycle physics every run shares: chaos deaths and
+//! defect fronts, wear, outcome sampling from the hidden **D**, and the
+//! location sensors. The cycle loop itself lives in the fleet module.
 
 use meda_rng::Rng;
 
@@ -13,7 +13,7 @@ use meda_grid::{Cell, Grid, Rect};
 
 use crate::sensing::{locate_droplets, snap_to_size};
 use crate::{
-    Biochip, DefectFront, FaultPlan, FifoScheduler, FleetConfig, FleetRunner, MoScheduler, Router,
+    Biochip, DefectFront, FaultPlan, FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, Router,
     RouterPool, SuddenDeath,
 };
 
@@ -75,40 +75,6 @@ pub enum RunStatus {
     Stalled,
 }
 
-/// The result of executing one bioassay on one chip.
-#[derive(Debug, Clone)]
-pub struct RunOutcome {
-    /// Total operational cycles consumed.
-    pub cycles: u64,
-    /// Terminal status.
-    pub status: RunStatus,
-    /// Microfluidic operations completed before the run ended.
-    pub completed_ops: usize,
-    /// Total microfluidic operations in the plan.
-    pub total_ops: usize,
-    /// Per-cycle actuation matrices, if recording was enabled.
-    pub trace: Option<Vec<Grid<bool>>>,
-}
-
-impl RunOutcome {
-    /// Whether the bioassay completed successfully.
-    #[must_use]
-    pub fn is_success(&self) -> bool {
-        self.status == RunStatus::Success
-    }
-
-    /// Fraction of the plan's operations that completed (1 for an empty
-    /// plan).
-    #[must_use]
-    pub fn completion_fraction(&self) -> f64 {
-        if self.total_ops == 0 {
-            1.0
-        } else {
-            self.completed_ops as f64 / self.total_ops as f64
-        }
-    }
-}
-
 /// Executes planned bioassays cycle by cycle — the control flow of Fig. 14
 /// and Algorithm 3.
 ///
@@ -121,10 +87,12 @@ impl RunOutcome {
 /// [`RunConfig::sensed_feedback`], a droplet position reconstructed from
 /// the sensed location matrix **Y** rather than the ground truth.
 ///
-/// Operations execute when ready (all predecessors done), ordered by the
-/// active [`MoScheduler`] — plan order by default; droplets waiting for a
-/// partner are held in place. The first failure ends the run. This is a
-/// width-1 [`FleetRunner`] run over the one router.
+/// Operations execute when ready (all predecessors done), in plan order;
+/// droplets waiting for a partner are held in place. The first failure
+/// ends the run. This is the paper's plain serial run: a width-1
+/// [`FleetRunner`] run over the one router with no chaos. A run with a
+/// scheduler, a chaos plan or the [`Ladder`](crate::Ladder) calls
+/// [`FleetRunner::run`] directly.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BioassayRunner {
     config: RunConfig,
@@ -137,70 +105,33 @@ impl BioassayRunner {
         Self { config }
     }
 
-    /// Runs `plan` on `chip` with `router` in plan (FIFO) order, consuming
-    /// randomness from `rng`. The chip keeps its accumulated wear
-    /// afterwards, so repeated calls model biochip reuse (Section VII-B).
+    /// Runs `plan` on `chip` with `router` in plan (FIFO) order, with no
+    /// chaos, consuming randomness from `rng`. The chip keeps its
+    /// accumulated wear afterwards, so repeated calls model biochip reuse
+    /// (Section VII-B).
     pub fn run(
         &self,
         plan: &BioassayPlan,
         chip: &mut Biochip,
         router: &mut dyn Router,
         rng: &mut impl Rng,
-    ) -> RunOutcome {
-        self.run_with_scheduler(plan, chip, router, &mut FifoScheduler::new(), rng)
-    }
-
-    /// [`BioassayRunner::run`] with a runtime operation scheduler: each
-    /// step, the scheduler picks which *ready* operation (all of its input
-    /// droplets parked on chip) executes next — the paper-conclusion
-    /// extension implemented by
-    /// [`HealthAwareScheduler`](crate::HealthAwareScheduler).
-    pub fn run_with_scheduler(
-        &self,
-        plan: &BioassayPlan,
-        chip: &mut Biochip,
-        router: &mut dyn Router,
-        scheduler: &mut dyn MoScheduler,
-        rng: &mut impl Rng,
-    ) -> RunOutcome {
-        self.run_with_chaos(plan, chip, router, scheduler, &FaultPlan::none(), rng)
-    }
-
-    /// [`BioassayRunner::run_with_scheduler`] under a scripted chaos
-    /// scenario: scheduled electrode deaths fire as cycles pass,
-    /// intermittent cells glitch each movement cycle, and stuck sensor bits
-    /// corrupt the **Y** matrix that sensed feedback reads. An empty plan
-    /// ([`FaultPlan::none`]) adds no cycles and consumes no randomness, so
-    /// the run stays bit-identical to [`BioassayRunner::run_with_scheduler`].
-    pub fn run_with_chaos(
-        &self,
-        plan: &BioassayPlan,
-        chip: &mut Biochip,
-        router: &mut dyn Router,
-        scheduler: &mut dyn MoScheduler,
-        chaos: &FaultPlan,
-        rng: &mut impl Rng,
-    ) -> RunOutcome {
-        let out = FleetRunner::new(FleetConfig::serial(self.config)).run(
+    ) -> FleetOutcome {
+        FleetRunner::new(FleetConfig::serial(self.config)).run(
             plan,
             chip,
             &mut OneRouter(router),
-            scheduler,
-            chaos,
+            &mut FifoScheduler::new(),
+            &FaultPlan::none(),
             rng,
-        );
-        RunOutcome {
-            cycles: out.cycles,
-            status: out.status,
-            completed_ops: out.completed_ops,
-            total_ops: out.total_ops,
-            trace: out.trace,
-        }
+        )
     }
 }
 
-/// A one-router pool: every width-1 run drives slot 0 only.
-pub(crate) struct OneRouter<'a>(pub(crate) &'a mut dyn Router);
+/// A one-router pool: every slot is the same router, so a width-1
+/// [`FleetRunner`] run (which only ever drives slot 0) can take a single
+/// `&mut dyn Router` together with a scheduler, a chaos plan or a
+/// [`Ladder`](crate::Ladder).
+pub struct OneRouter<'a>(pub &'a mut dyn Router);
 
 impl RouterPool for OneRouter<'_> {
     fn router(&mut self, _slot: usize) -> &mut dyn Router {
@@ -782,10 +713,10 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut router = BaselineRouter::new();
-        let outcome = BioassayRunner::new(RunConfig::default()).run_with_chaos(
+        let outcome = FleetRunner::new(FleetConfig::default()).run(
             &plan(&benchmarks::master_mix()),
             &mut chip,
-            &mut router,
+            &mut OneRouter(&mut router),
             &mut FifoScheduler::new(),
             &chaos,
             &mut rng,
@@ -815,14 +746,14 @@ mod tests {
         let mut router = BaselineRouter::new();
         // A short budget keeps the fired radius small enough that every
         // probe cell below stays on the chip.
-        let outcome = BioassayRunner::new(RunConfig {
+        let outcome = FleetRunner::new(FleetConfig::serial(RunConfig {
             k_max: 40,
             ..RunConfig::default()
-        })
-        .run_with_chaos(
+        }))
+        .run(
             &plan(&benchmarks::master_mix()),
             &mut chip,
-            &mut router,
+            &mut OneRouter(&mut router),
             &mut FifoScheduler::new(),
             &chaos,
             &mut rng,
@@ -852,18 +783,17 @@ mod tests {
             let mut chip =
                 Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
             let mut router = BaselineRouter::new();
-            let runner = BioassayRunner::new(RunConfig::default());
             let outcome = if chaotic {
-                runner.run_with_chaos(
+                FleetRunner::new(FleetConfig::default()).run(
                     &p,
                     &mut chip,
-                    &mut router,
+                    &mut OneRouter(&mut router),
                     &mut FifoScheduler::new(),
                     &FaultPlan::none(),
                     &mut rng,
                 )
             } else {
-                runner.run(&p, &mut chip, &mut router, &mut rng)
+                BioassayRunner::new(RunConfig::default()).run(&p, &mut chip, &mut router, &mut rng)
             };
             (
                 outcome.cycles,

@@ -5,15 +5,15 @@ use meda_bioassay::BioassayPlan;
 use meda_grid::{ChipDims, Rect};
 
 use crate::{
-    AdaptiveConfig, AdaptiveRouter, BaselineRouter, BioassayRunner, Biochip, DegradationConfig,
-    FaultPlan, FifoScheduler, RecoveryRouter, RunConfig, RungCounts, SuddenDeath, Supervisor,
-    SupervisorConfig,
+    AdaptiveConfig, AdaptiveRouter, BaselineRouter, Biochip, DegradationConfig, FaultPlan,
+    FifoScheduler, FleetConfig, FleetRunner, Ladder, OneRouter, RecoveryRouter, Router, RunConfig,
+    RungCounts, SuddenDeath,
 };
 
 /// One control stack evaluated by the chaos sweep. The first three run
 /// unsupervised (the first routing failure aborts the bioassay); the
-/// supervised variants wrap the adaptive router in the [`Supervisor`]'s
-/// escalation ladder and degrade gracefully instead — with or without the
+/// supervised variants run the adaptive router under the escalation
+/// [`Ladder`] and degrade gracefully instead — with or without the
 /// reconfiguration rung armed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaosVariant {
@@ -23,7 +23,7 @@ pub enum ChaosVariant {
     Recovery,
     /// The paper's formal-synthesis adaptive router.
     Adaptive,
-    /// Adaptive routing under the supervisor's retry ladder.
+    /// Adaptive routing under the retry ladder.
     SupervisedAdaptive,
     /// The full stack: the retry ladder plus the reconfiguration planner
     /// that relocates swallowed target zones onto spare electrodes.
@@ -54,14 +54,14 @@ impl ChaosVariant {
 
     /// Runs one trial with sensed feedback closed over the chaos plan.
     /// Returns `(full success, completion fraction, ladder counts)` —
-    /// unsupervised variants report zero ladder activity.
+    /// unsupervised variants report zero ladder activity. The reactive
+    /// router and the detour rung share the ladder's detour patience.
     fn run_one(
         self,
         plan: &BioassayPlan,
         chip: &mut Biochip,
         chaos: &FaultPlan,
         k_max: u64,
-        detour_patience: u32,
         rng: &mut impl Rng,
     ) -> (bool, f64, RungCounts) {
         let run = RunConfig {
@@ -69,85 +69,37 @@ impl ChaosVariant {
             record_actuation: false,
             sensed_feedback: true,
         };
-        match self {
-            ChaosVariant::Baseline => {
-                let mut router = BaselineRouter::new();
-                let outcome = BioassayRunner::new(run).run_with_chaos(
-                    plan,
-                    chip,
-                    &mut router,
-                    &mut FifoScheduler::new(),
-                    chaos,
-                    rng,
-                );
-                (
-                    outcome.is_success(),
-                    outcome.completion_fraction(),
-                    RungCounts::default(),
-                )
-            }
+        let mut router: Box<dyn Router> = match self {
+            ChaosVariant::Baseline => Box::new(BaselineRouter::new()),
             ChaosVariant::Recovery => {
-                let mut router = RecoveryRouter::new(detour_patience);
-                let outcome = BioassayRunner::new(run).run_with_chaos(
-                    plan,
-                    chip,
-                    &mut router,
-                    &mut FifoScheduler::new(),
-                    chaos,
-                    rng,
-                );
-                (
-                    outcome.is_success(),
-                    outcome.completion_fraction(),
-                    RungCounts::default(),
-                )
+                Box::new(RecoveryRouter::new(Ladder::default().detour_patience))
             }
-            ChaosVariant::Adaptive => {
-                let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-                let outcome = BioassayRunner::new(run).run_with_chaos(
-                    plan,
-                    chip,
-                    &mut router,
-                    &mut FifoScheduler::new(),
-                    chaos,
-                    rng,
-                );
-                (
-                    outcome.is_success(),
-                    outcome.completion_fraction(),
-                    RungCounts::default(),
-                )
-            }
-            ChaosVariant::SupervisedAdaptive => {
-                let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-                let report = Supervisor::new(SupervisorConfig {
-                    run,
-                    detour_patience,
-                    ..SupervisorConfig::default()
-                })
-                .run(plan, chip, &mut router, chaos, rng);
-                (
-                    report.is_success(),
-                    report.completion_fraction(),
-                    report.rungs,
-                )
-            }
-            ChaosVariant::SupervisedReconfig => {
-                let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-                let report = Supervisor::new(SupervisorConfig {
-                    run,
-                    detour_patience,
+            _ => Box::new(AdaptiveRouter::new(AdaptiveConfig::paper())),
+        };
+        let config = match self {
+            ChaosVariant::SupervisedAdaptive => FleetConfig::supervised(run),
+            ChaosVariant::SupervisedReconfig => FleetConfig {
+                ladder: Some(Ladder {
                     reconfig_budget: 2,
-                    ..SupervisorConfig::default()
-                })
-                .run(plan, chip, &mut router, chaos, rng);
-                (
-                    report.is_success(),
-                    report.completion_fraction(),
-                    report.rungs,
-                )
-            }
-        }
+                    ..Ladder::default()
+                }),
+                ..FleetConfig::supervised(run)
+            },
+            _ => FleetConfig::serial(run),
+        };
+        let outcome = FleetRunner::new(config).run(
+            plan,
+            chip,
+            &mut OneRouter(router.as_mut()),
+            &mut FifoScheduler::new(),
+            chaos,
+            rng,
+        );
+        (
+            outcome.is_success(),
+            outcome.completion_fraction(),
+            outcome.rungs,
+        )
     }
 }
 
@@ -315,7 +267,6 @@ pub fn chaos_sweep(
     seed: u64,
 ) -> Vec<ChaosPoint> {
     assert!(trials > 0, "need at least one trial");
-    let detour_patience = SupervisorConfig::default().detour_patience;
 
     let run_cell = |(variant, sev_idx, trial): ChaosCell| {
         let severity = severities[sev_idx];
@@ -328,7 +279,7 @@ pub fn chaos_sweep(
         let mut chip = Biochip::generate(dims, degradation, &mut rng);
         let mut chaos_rng = StdRng::seed_from_u64(trial_seed ^ 0x9E37_79B9_7F4A_7C15);
         let chaos = class.plan(dims, severity, k_max, &mut chaos_rng);
-        variant.run_one(plan, &mut chip, &chaos, k_max, detour_patience, &mut rng)
+        variant.run_one(plan, &mut chip, &chaos, k_max, &mut rng)
     };
 
     let cells: Vec<ChaosCell> = variants

@@ -6,10 +6,9 @@
 //! *independent* operations (no data dependency between them) onto the
 //! chip at once and interleaves their routing cycle by cycle, so a
 //! COVID-PCR panel's parallel branches overlap instead of queueing. At
-//! width 1 ([`FleetConfig::serial`]) it is the paper's serial execution:
-//! [`BioassayRunner`](crate::BioassayRunner) and the
-//! [`Supervisor`](crate::Supervisor) are width-1 runs of this loop. Three
-//! mechanisms make concurrency safe, all inert at width 1:
+//! width 1 ([`FleetConfig::serial`]) it is the paper's serial execution,
+//! and [`BioassayRunner`](crate::BioassayRunner) is a width-1 run of this
+//! loop. Three mechanisms make concurrency safe, all inert at width 1:
 //!
 //! * **Fluidic separation** ([`FluidicConstraints`]): each cycle, every
 //!   proposed move is screened against the other in-flight droplets'
@@ -52,10 +51,10 @@ use meda_grid::{ChipDims, Grid, Rect};
 use meda_synth::CorridorReservations;
 
 use crate::engine::Exec;
-use crate::supervisor::reconfigure;
+use crate::ladder::reconfigure;
 use crate::{
-    AdaptiveConfig, AdaptiveRouter, Biochip, FaultPlan, FluidicConstraints, MoFailure, MoScheduler,
-    RecoveryRouter, Router, RunConfig, RunStatus, Rung, RungCounts,
+    AdaptiveConfig, AdaptiveRouter, Biochip, FaultPlan, FluidicConstraints, Ladder, MoFailure,
+    MoScheduler, RecoveryRouter, Router, RunConfig, RunStatus, Rung, RungCounts,
 };
 
 /// Configuration of a concurrent fleet run.
@@ -90,32 +89,6 @@ pub struct FleetConfig {
     pub ladder: Option<Ladder>,
 }
 
-/// The per-task failure ladder: retry a failed routing job (re-sense,
-/// re-synthesize with a widened corridor, detour), relocate the operation,
-/// then abort it and skip its dependents while the rest of the plan runs
-/// on. Zero budgets abort a failing operation at once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Ladder {
-    /// Retries allowed per routing job beyond its first attempt. Each
-    /// retry climbs one rung; retry 3 and beyond stay on the detour rung.
-    pub retry_budget: u32,
-    /// Stall patience of the [`RecoveryRouter`] used on the detour rung.
-    pub detour_patience: u32,
-    /// Relocations allowed per operation on the reconfiguration rung
-    /// (0 disables the rung).
-    pub reconfig_budget: u32,
-}
-
-impl Default for Ladder {
-    fn default() -> Self {
-        Self {
-            retry_budget: 3,
-            detour_patience: 4,
-            reconfig_budget: 0,
-        }
-    }
-}
-
 impl Default for FleetConfig {
     fn default() -> Self {
         Self::serial(RunConfig::default())
@@ -136,6 +109,18 @@ impl FleetConfig {
             record_movers: false,
             attempt_cycles: None,
             ladder: None,
+        }
+    }
+
+    /// Supervised serial mode: [`FleetConfig::serial`] plus the 256-cycle
+    /// watchdog and the default [`Ladder`] — failed jobs climb the ladder
+    /// and the rest of the plan runs on past an aborted operation.
+    #[must_use]
+    pub fn supervised(run: RunConfig) -> Self {
+        Self {
+            attempt_cycles: Some(256),
+            ladder: Some(Ladder::default()),
+            ..Self::serial(run)
         }
     }
 
@@ -404,9 +389,16 @@ fn dispense_entry(goal: Rect, dims: ChipDims) -> (Rect, Dir) {
 }
 
 /// Executes planned bioassays with up to [`FleetConfig::max_active`]
-/// independent operations in flight at once.
+/// independent operations in flight at once — the one way to run an
+/// assay. The [`FleetConfig`] sets the width, the watchdog and the
+/// [`Ladder`]; the router pool, the scheduler and the chaos plan are the
+/// arguments of [`FleetRunner::run`].
 ///
 /// # Examples
+///
+/// A two-wide run over a pool of baseline routers, then a supervised
+/// serial run driving one router through a [`OneRouter`](crate::OneRouter)
+/// pool:
 ///
 /// ```
 /// use meda_bioassay::{benchmarks, RjHelper};
@@ -414,7 +406,7 @@ fn dispense_entry(goal: Rect, dims: ChipDims) -> (Rect, Dir) {
 /// use meda_rng::SeedableRng;
 /// use meda_sim::{
 ///     Biochip, ClonePool, BaselineRouter, DegradationConfig, FaultPlan, FifoScheduler,
-///     FleetConfig, FleetRunner, RunConfig,
+///     FleetConfig, FleetRunner, OneRouter, RunConfig,
 /// };
 ///
 /// let mut rng = meda_rng::StdRng::seed_from_u64(1);
@@ -430,6 +422,17 @@ fn dispense_entry(goal: Rect, dims: ChipDims) -> (Rect, Dir) {
 ///     &mut rng,
 /// );
 /// assert!(outcome.is_success());
+///
+/// let mut router = BaselineRouter::new();
+/// let outcome = FleetRunner::new(FleetConfig::supervised(RunConfig::default())).run(
+///     &plan,
+///     &mut chip,
+///     &mut OneRouter(&mut router),
+///     &mut FifoScheduler::new(),
+///     &FaultPlan::none(),
+///     &mut rng,
+/// );
+/// assert_eq!(outcome.completion_fraction(), 1.0);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -472,7 +475,8 @@ impl FleetRunner {
             skipped: Vec::new(),
             rungs: RungCounts::default(),
             resolved_by: Vec::new(),
-            free_slots: (0..cfg.max_active).rev().collect(),
+            // A run never holds more tasks than the plan has operations.
+            free_slots: (0..cfg.max_active.min(total)).rev().collect(),
             reservations: CorridorReservations::new(),
             stall_cycles: 0,
             peak_active: 0,
@@ -500,7 +504,17 @@ impl FleetRunner {
         telemetry.add("sim.fleet.dispatches", run.dispatches);
         telemetry.add("sim.fleet.stall_cycles", run.stall_cycles);
         telemetry.add("sim.fleet.peak_active", run.peak_active as u64);
+        if cfg.ladder.is_some() {
+            let rungs = run.rungs;
+            telemetry.add("sim.ladder.runs", 1);
+            telemetry.add("sim.ladder.rung.resense", rungs.resense);
+            telemetry.add("sim.ladder.rung.resynth", rungs.resynth);
+            telemetry.add("sim.ladder.rung.detour", rungs.detour);
+            telemetry.add("sim.ladder.rung.reconfig", rungs.reconfig);
+            telemetry.add("sim.ladder.aborted_ops", rungs.aborted_ops);
+        }
 
+        debug_assert_eq!(status == RunStatus::Success, run.completed == total);
         FleetOutcome {
             cycles: run.exec.cycles,
             status,
@@ -1101,7 +1115,7 @@ impl<R: Rng> Run<'_, '_, R> {
     fn fail(&mut self, ti: usize, mut status: RunStatus, mut at: Rect) -> Result<bool, RunStatus> {
         loop {
             if status == RunStatus::Stalled {
-                meda_telemetry::global().add("sim.supervisor.watchdog_fires", 1);
+                meda_telemetry::global().add("sim.ladder.watchdog_fires", 1);
             }
             let Some(ladder) = self.cfg.ladder else {
                 self.record_failure(ti, status, at);

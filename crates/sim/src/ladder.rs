@@ -1,21 +1,23 @@
-//! Supervised bioassay execution with graceful degradation.
+//! The failure ladder: graceful degradation for the one execution loop.
 //!
-//! The plain [`BioassayRunner`](crate::BioassayRunner) is all-or-nothing:
-//! the first failed routing job aborts the whole bioassay. Cyberphysical
-//! DMFB practice instead detects errors through the sensing loop and
-//! re-executes bounded portions of the assay. The [`Supervisor`] is a
-//! width-1 run of the one execution loop ([`FleetRunner`]) with that
-//! discipline as its failure policy ([`Ladder`]): every failed routing job
-//! climbs an escalation ladder — re-sense the droplet and retry,
-//! re-synthesize with a widened corridor from the refreshed health matrix,
-//! detour via the reactive [`RecoveryRouter`](crate::RecoveryRouter) — and
-//! only when the retry budget is exhausted is the operation aborted, its
-//! dependents skipped, and the rest of the plan continued. The result is a
-//! structured [`FailureReport`] with a per-operation completion fraction
-//! instead of a single terminal status.
+//! Without a [`Ladder`] a [`FleetRunner`](crate::FleetRunner) run is
+//! all-or-nothing: the first failed routing job ends the whole bioassay.
+//! Cyberphysical DMFB practice instead detects errors through the sensing
+//! loop and re-executes bounded portions of the assay. With one
+//! ([`FleetConfig::ladder`](crate::FleetConfig::ladder), preset by
+//! [`FleetConfig::supervised`](crate::FleetConfig::supervised)) every
+//! failed routing job climbs an escalation ladder — re-sense the droplet
+//! and retry, re-synthesize with a widened corridor from the refreshed
+//! health matrix, detour via the reactive
+//! [`RecoveryRouter`](crate::RecoveryRouter) — and only when the retry
+//! budget is exhausted is the operation aborted, its dependents skipped,
+//! and the rest of the plan continued. The
+//! [`FleetOutcome`](crate::FleetOutcome) then records what completed,
+//! what was aborted and why ([`MoFailure`]), and how hard the ladder had
+//! to work ([`RungCounts`], [`Rung`]).
 //!
-//! With [`SupervisorConfig::reconfig_budget`] above zero a further rung
-//! sits between the detour and the abort: the *reconfiguration planner*
+//! With [`Ladder::reconfig_budget`] above zero a further rung sits between
+//! the detour and the abort: the *reconfiguration planner*
 //! ([`reconfigure`]). When the whole per-job ladder fails, it scans the
 //! quantized health matrix **H** for a healthy spare region large enough
 //! for the failing operation's target zone, relocates the zone there
@@ -31,53 +33,41 @@ use meda_bioassay::{BioassayPlan, PlannedMo, RjHelper, RoutingJob};
 use meda_core::ForceProvider;
 use meda_grid::Rect;
 
-use crate::engine::{Exec, OneRouter};
-use crate::{
-    Biochip, FaultPlan, FifoScheduler, FleetConfig, FleetRunner, Ladder, Router, RunConfig,
-    RunStatus,
-};
+use crate::engine::Exec;
+use crate::RunStatus;
+
+/// The per-task failure ladder: retry a failed routing job (re-sense,
+/// re-synthesize with a widened corridor, detour), relocate the operation,
+/// then abort it and skip its dependents while the rest of the plan runs
+/// on. Zero budgets abort a failing operation at once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ladder {
+    /// Retries allowed per routing job beyond its first attempt. Each
+    /// retry climbs one rung; retry 3 and beyond stay on the detour rung.
+    pub retry_budget: u32,
+    /// Stall patience of the [`RecoveryRouter`](crate::RecoveryRouter)
+    /// used on the detour rung.
+    pub detour_patience: u32,
+    /// Relocations allowed per operation on the reconfiguration rung
+    /// (0 disables the rung).
+    pub reconfig_budget: u32,
+}
+
+impl Default for Ladder {
+    fn default() -> Self {
+        Self {
+            retry_budget: 3,
+            detour_patience: 4,
+            reconfig_budget: 0,
+        }
+    }
+}
 
 /// Minimum per-cell relative EWOD force for a cell to count as *spare* in
 /// the reconfiguration scan — at least half-strength under the
 /// conservative health interpretation (dead and nearly-dead cells are
 /// excluded; a pristine 2-bit cell reads 0.5625).
 const SPARE_MIN_FORCE: f64 = 0.25;
-
-/// Configuration of supervised execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisorConfig {
-    /// The underlying run configuration (cycle budget, sensed feedback).
-    pub run: RunConfig,
-    /// Retries allowed per routing job beyond its first attempt. Each
-    /// retry climbs one rung of the escalation ladder; retry 3 and beyond
-    /// stay on the detour rung.
-    pub retry_budget: u32,
-    /// Stall patience of the [`RecoveryRouter`](crate::RecoveryRouter) used on
-    /// the detour rung.
-    pub detour_patience: u32,
-    /// Watchdog: cycles one routing attempt may burn before it is declared
-    /// [`RunStatus::Stalled`] and retried. Without it, a wedged position
-    /// estimate (e.g. stuck sensors swallowing the goal region) silently
-    /// eats the whole global `k_max` — terminal for supervised and
-    /// unsupervised runs alike.
-    pub attempt_cycles: u64,
-    /// Relocations allowed per operation on the reconfiguration rung
-    /// (0 — the default — disables the rung, leaving the classic
-    /// resense → resynth → detour → abort ladder byte-for-byte intact).
-    pub reconfig_budget: u32,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            run: RunConfig::default(),
-            retry_budget: 3,
-            detour_patience: 4,
-            attempt_cycles: 256,
-            reconfig_budget: 0,
-        }
-    }
-}
 
 /// One aborted microfluidic operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,140 +117,6 @@ pub struct RungCounts {
     pub reconfig: u64,
     /// Rung 5: operations aborted after every budget ran out.
     pub aborted_ops: u64,
-}
-
-/// The structured outcome of a supervised run: what completed, what was
-/// aborted and why, and how hard the supervisor had to work.
-#[derive(Debug, Clone)]
-pub struct FailureReport {
-    /// Total operational cycles consumed.
-    pub cycles: u64,
-    /// [`RunStatus::Success`] when every operation completed; otherwise
-    /// the root cause — the status of the earliest failure,
-    /// [`RunStatus::CycleLimit`] when the budget died, or
-    /// [`RunStatus::Deadlock`] for a malformed plan.
-    pub status: RunStatus,
-    /// Operations that completed.
-    pub completed_ops: usize,
-    /// Total operations in the plan.
-    pub total_ops: usize,
-    /// Every aborted operation, in failure order.
-    pub failures: Vec<MoFailure>,
-    /// Operations skipped because a (transitive) predecessor was aborted.
-    pub skipped: Vec<usize>,
-    /// Escalation-ladder statistics.
-    pub rungs: RungCounts,
-    /// For every *completed* operation, the highest ladder rung it needed
-    /// (`(mo id, winning rung)`, in completion order).
-    pub resolved_by: Vec<(usize, Rung)>,
-}
-
-impl FailureReport {
-    /// Whether every operation completed.
-    #[must_use]
-    pub fn is_success(&self) -> bool {
-        self.completed_ops == self.total_ops
-    }
-
-    /// Fraction of the plan's operations that completed (1 for an empty
-    /// plan).
-    #[must_use]
-    pub fn completion_fraction(&self) -> f64 {
-        if self.total_ops == 0 {
-            1.0
-        } else {
-            self.completed_ops as f64 / self.total_ops as f64
-        }
-    }
-}
-
-/// Supervised execution: [`BioassayRunner`](crate::BioassayRunner)
-/// semantics plus a per-job retry ladder and partial completion — the
-/// watchdog and [`Ladder`] of a width-1 [`FleetRunner`] run.
-///
-/// # Examples
-///
-/// ```
-/// use meda_bioassay::{benchmarks, RjHelper};
-/// use meda_grid::ChipDims;
-/// use meda_rng::SeedableRng;
-/// use meda_sim::{
-///     BaselineRouter, Biochip, DegradationConfig, FaultPlan, Supervisor, SupervisorConfig,
-/// };
-///
-/// let mut rng = meda_rng::StdRng::seed_from_u64(7);
-/// let plan = RjHelper::new(ChipDims::PAPER).plan(&benchmarks::master_mix())?;
-/// let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
-/// let mut router = BaselineRouter::new();
-/// let report = Supervisor::new(SupervisorConfig::default())
-///     .run(&plan, &mut chip, &mut router, &FaultPlan::none(), &mut rng);
-/// assert!(report.is_success());
-/// assert_eq!(report.completion_fraction(), 1.0);
-/// # Ok::<(), Box<dyn std::error::Error>>(())
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Supervisor {
-    config: SupervisorConfig,
-}
-
-impl Supervisor {
-    /// Creates a supervisor.
-    #[must_use]
-    pub fn new(config: SupervisorConfig) -> Self {
-        Self { config }
-    }
-
-    /// Runs `plan` on `chip` under `chaos`, retrying failed jobs up the
-    /// escalation ladder and skipping the dependents of aborted
-    /// operations: a width-1, plan-order [`FleetRunner`] run with the
-    /// watchdog armed and this configuration's [`Ladder`]. With
-    /// [`FaultPlan::none`] and sensed feedback off, the execution is
-    /// bit-identical to [`BioassayRunner::run`](crate::BioassayRunner::run)
-    /// — the ladder only exists on the failure path.
-    pub fn run(
-        &self,
-        plan: &BioassayPlan,
-        chip: &mut Biochip,
-        router: &mut dyn Router,
-        chaos: &FaultPlan,
-        rng: &mut impl Rng,
-    ) -> FailureReport {
-        let c = self.config;
-        let config = FleetConfig {
-            attempt_cycles: Some(c.attempt_cycles),
-            ladder: Some(Ladder {
-                retry_budget: c.retry_budget,
-                detour_patience: c.detour_patience,
-                reconfig_budget: c.reconfig_budget,
-            }),
-            ..FleetConfig::serial(c.run)
-        };
-        let out = FleetRunner::new(config).run(
-            plan,
-            chip,
-            &mut OneRouter(router),
-            &mut FifoScheduler::new(),
-            chaos,
-            rng,
-        );
-        let telemetry = meda_telemetry::global();
-        telemetry.add("sim.supervisor.runs", 1);
-        telemetry.add("sim.supervisor.rung.resense", out.rungs.resense);
-        telemetry.add("sim.supervisor.rung.resynth", out.rungs.resynth);
-        telemetry.add("sim.supervisor.rung.detour", out.rungs.detour);
-        telemetry.add("sim.supervisor.rung.reconfig", out.rungs.reconfig);
-        telemetry.add("sim.supervisor.aborted_ops", out.rungs.aborted_ops);
-        FailureReport {
-            cycles: out.cycles,
-            status: out.status,
-            completed_ops: out.completed_ops,
-            total_ops: out.total_ops,
-            failures: out.failed,
-            skipped: out.skipped,
-            rungs: out.rungs,
-            resolved_by: out.resolved_by,
-        }
-    }
 }
 
 /// The reconfiguration rung: find a healthy spare region for the failing
@@ -319,7 +175,7 @@ pub(crate) fn reconfigure<R: Rng>(
                 .all(|c| exec.chip.degradation_at(c) > 0.0)
         });
         if no_dead_cells {
-            telemetry.add("sim.supervisor.reconfig.skipped_healthy", 1);
+            telemetry.add("sim.ladder.reconfig.skipped_healthy", 1);
             return false;
         }
     }
@@ -337,11 +193,11 @@ pub(crate) fn reconfigure<R: Rng>(
     };
 
     let displacement = {
-        let _scan = telemetry.span("sim.supervisor.reconfig.scan");
+        let _scan = telemetry.span("sim.ladder.reconfig.scan");
         find_spare_region(exec, &mo, held)
     };
     let Some((dx, dy)) = displacement else {
-        telemetry.add("sim.supervisor.reconfig.scan_misses", 1);
+        telemetry.add("sim.ladder.reconfig.scan_misses", 1);
         return false;
     };
 
@@ -351,11 +207,11 @@ pub(crate) fn reconfigure<R: Rng>(
         // The footprint fits, but a re-derived successor rectangle
         // (e.g. a recentered split source) left the chip: give up on
         // this relocation rather than commit half a plan.
-        telemetry.add("sim.supervisor.reconfig.scan_misses", 1);
+        telemetry.add("sim.ladder.reconfig.scan_misses", 1);
         return false;
     }
     telemetry
-        .histogram("sim.supervisor.reconfig.distance")
+        .histogram("sim.ladder.reconfig.distance")
         .record(u64::from(dx.unsigned_abs() + dy.unsigned_abs()));
 
     // Rewrite the restart jobs from where the droplets actually are:

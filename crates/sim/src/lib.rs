@@ -16,18 +16,20 @@
 //!   flight; waiting droplets are held in place (and keep degrading their
 //!   MCs), moving droplets follow their router, outcomes are sampled from
 //!   **D**, and failures follow one per-task policy (the watchdog and the
-//!   [`Ladder`]);
-//! * [`BioassayRunner`] — the paper's serial execution: a width-1 fleet
-//!   run over one router that ends at the first failure;
+//!   [`Ladder`]); every run is one [`FleetRunner::run`] call over a
+//!   [`FleetConfig`] and returns a [`FleetOutcome`];
+//! * [`BioassayRunner`] — the paper's plain serial execution: a FIFO,
+//!   chaos-free width-1 fleet run over one router ([`OneRouter`]) that
+//!   ends at the first failure;
 //! * [`experiment`] — the Fig 15 probability-of-success sweep, the Fig 16
 //!   repeated-trial fault-injection study, and the Fig 3 actuation
 //!   correlation analysis;
-//! * [`Supervisor`] — supervised execution: a width-1 fleet run whose
-//!   failure policy is the retry ladder (re-sense → re-synthesize → detour
-//!   → reconfigure onto spare area → abort the operation), folded into a
-//!   structured [`FailureReport`] for graceful partial completion;
-//!   [`SupervisorConfig::reconfig_budget`] arms the reconfiguration rung,
-//!   which relocates a failing operation's target zone onto healthy spare
+//! * [`Ladder`] — the failure ladder ([`FleetConfig::supervised`] presets
+//!   it): re-sense → re-synthesize → detour → reconfigure onto spare area
+//!   → abort the operation, with the [`FleetOutcome`] recording each
+//!   [`MoFailure`] and [`RungCounts`] for graceful partial completion;
+//!   [`Ladder::reconfig_budget`] arms the reconfiguration rung, which
+//!   relocates a failing operation's target zone onto healthy spare
 //!   electrodes via the bioassay placer;
 //! * [`FaultPlan`] — scripted chaos on top of placement-time faults:
 //!   scheduled electrode death (isolated, clustered `2 × 2`, whole-row),
@@ -69,24 +71,24 @@ mod engine;
 pub mod experiment;
 mod fault;
 mod fleet;
+mod ladder;
 mod recovery;
 pub mod render;
 mod router;
 mod scheduler;
 pub mod sensing;
-mod supervisor;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveRouter};
 pub use biochip::{Biochip, DegradationConfig};
 pub use constraints::{FluidicConstraints, SeparationViolation, ViolationKind};
-pub use engine::{sample_outcome, BioassayRunner, RunConfig, RunOutcome, RunStatus};
+pub use engine::{sample_outcome, BioassayRunner, OneRouter, RunConfig, RunStatus};
 pub use fault::{DefectFront, FaultMode, FaultPlan, IntermittentCell, SuddenDeath};
 pub use fleet::{
-    dependency_exemption, AdaptivePool, ClonePool, FleetConfig, FleetOutcome, FleetRunner, Ladder,
+    dependency_exemption, AdaptivePool, ClonePool, FleetConfig, FleetOutcome, FleetRunner,
     RouterPool,
 };
+pub use ladder::{Ladder, MoFailure, Rung, RungCounts};
 pub use meda_cell::StuckBit;
 pub use recovery::RecoveryRouter;
 pub use router::{BaselineRouter, Router};
 pub use scheduler::{FifoScheduler, HealthAwareScheduler, MoScheduler};
-pub use supervisor::{FailureReport, MoFailure, Rung, RungCounts, Supervisor, SupervisorConfig};

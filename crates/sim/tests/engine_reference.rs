@@ -4,9 +4,10 @@
 //! the fleet-equivalence oracle's cases (paper degradation, FIFO order,
 //! `k_max = 1200`, a chip seed and a run seed) with the baseline router,
 //! under [`FaultPlan::none`] or one hard-chaos [`FaultClass`] at severity
-//! 0.5: once plain ([`BioassayRunner::run_with_chaos`]) and once supervised
-//! with the reconfiguration budget at 0 and at 2, with sensed feedback on
-//! and off. Across the corpus every rung of the supervisor's ladder fires. One line per case digests what the run did: status, cycles,
+//! 0.5: once plain ([`FleetConfig::serial`]) and once supervised (the
+//! watchdog and the [`Ladder`]) with the reconfiguration budget at 0 and
+//! at 2, with sensed feedback on and off. Across the corpus every rung of
+//! the ladder fires. One line per case digests what the run did: status, cycles,
 //! completed operations, an FNV-1a digest of the per-cell wear map (and,
 //! for plain runs, of the whole actuation trace), the chip's total
 //! actuations and the next draw of the run's RNG; supervised lines add
@@ -28,14 +29,14 @@ use meda_grid::ChipDims;
 use meda_rng::{Rng, SeedableRng, StdRng};
 use meda_sim::experiment::FaultClass;
 use meda_sim::{
-    BaselineRouter, BioassayRunner, Biochip, DegradationConfig, FaultPlan, FifoScheduler,
-    RunConfig, Supervisor, SupervisorConfig,
+    BaselineRouter, Biochip, DegradationConfig, FaultPlan, FifoScheduler, FleetConfig, FleetRunner,
+    Ladder, OneRouter, RunConfig,
 };
 
 const K_MAX: u64 = 1_200;
 /// Fault severity of every class (the hard-chaos matrix's mid-point).
 const SEVERITY: f64 = 0.5;
-/// Supervisor watchdog: short, so the detour rung's stall-triggered
+/// Supervised watchdog: short, so the detour rung's stall-triggered
 /// re-solves stay few and the corpus stays fast in a debug build.
 const ATTEMPT_CYCLES: u64 = 32;
 /// `(chip seed, run seed)` pairs.
@@ -119,16 +120,27 @@ fn render_case(
             Mode::Supervised { reconfig_budget } => format!("supervised-r{reconfig_budget}"),
         }
     );
+    let config = match mode {
+        Mode::Plain => FleetConfig::serial(run),
+        Mode::Supervised { reconfig_budget } => FleetConfig {
+            attempt_cycles: Some(ATTEMPT_CYCLES),
+            ladder: Some(Ladder {
+                reconfig_budget,
+                ..Ladder::default()
+            }),
+            ..FleetConfig::serial(run)
+        },
+    };
+    let out = FleetRunner::new(config).run(
+        plan,
+        &mut chip,
+        &mut OneRouter(&mut router),
+        &mut FifoScheduler::new(),
+        &chaos,
+        &mut rng,
+    );
     match mode {
         Mode::Plain => {
-            let out = BioassayRunner::new(run).run_with_chaos(
-                plan,
-                &mut chip,
-                &mut router,
-                &mut FifoScheduler::new(),
-                &chaos,
-                &mut rng,
-            );
             let mut trace = Fnv::new();
             for pattern in out.trace.as_deref().unwrap_or_default() {
                 for (_, bit) in pattern.iter() {
@@ -141,30 +153,22 @@ fn render_case(
                 out.status, out.cycles, out.completed_ops, out.total_ops, trace.0
             );
         }
-        Mode::Supervised { reconfig_budget } => {
-            let report = Supervisor::new(SupervisorConfig {
-                run,
-                attempt_cycles: ATTEMPT_CYCLES,
-                reconfig_budget,
-                ..SupervisorConfig::default()
-            })
-            .run(plan, &mut chip, &mut router, &chaos, &mut rng);
-            let r = report.rungs;
+        Mode::Supervised { .. } => {
+            let r = out.rungs;
             let _ = write!(
                 line,
                 " status={:?} cycles={} completed={}/{} rungs={}/{}/{}/{}/{} failures={:?} \
                  skipped={:?} resolved={:?}",
-                report.status,
-                report.cycles,
-                report.completed_ops,
-                report.total_ops,
+                out.status,
+                out.cycles,
+                out.completed_ops,
+                out.total_ops,
                 r.resense,
                 r.resynth,
                 r.detour,
                 r.reconfig,
                 r.aborted_ops,
-                report
-                    .failures
+                out.failed
                     .iter()
                     .map(|f| (
                         f.mo,
@@ -174,8 +178,8 @@ fn render_case(
                         f.retries
                     ))
                     .collect::<Vec<_>>(),
-                report.skipped,
-                report.resolved_by,
+                out.skipped,
+                out.resolved_by,
             );
         }
     }

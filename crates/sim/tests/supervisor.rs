@@ -7,14 +7,46 @@ use meda_grid::{Cell, ChipDims};
 use meda_rng::{Rng, SeedableRng, StdRng};
 use meda_sim::{
     AdaptiveConfig, AdaptiveRouter, BaselineRouter, BioassayRunner, Biochip, DegradationConfig,
-    FaultPlan, RunConfig, RunStatus, Rung, SuddenDeath, Supervisor, SupervisorConfig,
+    FaultPlan, FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, Ladder, OneRouter, Router,
+    RunConfig, RunStatus, Rung, SuddenDeath,
 };
 
 fn plan(sg: &meda_bioassay::SequencingGraph) -> BioassayPlan {
     RjHelper::new(ChipDims::PAPER).plan(sg).unwrap()
 }
 
-/// With no chaos and sensing off, the supervisor must be invisible: the
+/// One width-1, plan-order run of `p` under `config`, driving `router`.
+fn supervise(
+    config: FleetConfig,
+    p: &BioassayPlan,
+    chip: &mut Biochip,
+    router: &mut dyn Router,
+    chaos: &FaultPlan,
+    rng: &mut StdRng,
+) -> FleetOutcome {
+    FleetRunner::new(config).run(
+        p,
+        chip,
+        &mut OneRouter(router),
+        &mut FifoScheduler::new(),
+        chaos,
+        rng,
+    )
+}
+
+/// [`FleetConfig::supervised`] with the reconfiguration rung armed (two
+/// relocations per operation).
+fn with_reconfig(run: RunConfig) -> FleetConfig {
+    FleetConfig {
+        ladder: Some(Ladder {
+            reconfig_budget: 2,
+            ..Ladder::default()
+        }),
+        ..FleetConfig::supervised(run)
+    }
+}
+
+/// With no chaos and sensing off, supervision must be invisible: the
 /// escalation ladder exists only on the failure path, so cycles, status,
 /// wear, and the RNG stream position all match the plain runner on the
 /// Fig 15/16 evaluation seeds.
@@ -44,7 +76,8 @@ fn supervised_run_is_bit_identical_to_plain_runner_without_faults() {
             let mut chip =
                 Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
             let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-            let report = Supervisor::new(SupervisorConfig::default()).run(
+            let report = supervise(
+                FleetConfig::supervised(RunConfig::default()),
                 &p,
                 &mut chip,
                 &mut router,
@@ -96,18 +129,15 @@ fn electrode_death_climbs_to_the_detour_rung() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::pristine(), &mut rng);
     let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-    let config = SupervisorConfig {
-        run: RunConfig {
-            // Room for all four watchdog-bounded attempts (4 x 256 cycles)
-            // plus the rest of the assay — otherwise the global budget dies
-            // first and the terminal CycleLimit masks the abort rung.
-            k_max: 4_000,
-            sensed_feedback: true,
-            ..RunConfig::default()
-        },
-        ..SupervisorConfig::default()
-    };
-    let report = Supervisor::new(config).run(&p, &mut chip, &mut router, &chaos, &mut rng);
+    let config = FleetConfig::supervised(RunConfig {
+        // Room for all four watchdog-bounded attempts (4 x 256 cycles)
+        // plus the rest of the assay — otherwise the global budget dies
+        // first and the terminal CycleLimit masks the abort rung.
+        k_max: 4_000,
+        sensed_feedback: true,
+        ..RunConfig::default()
+    });
+    let report = supervise(config, &p, &mut chip, &mut router, &chaos, &mut rng);
 
     let rungs = report.rungs;
     assert!(rungs.resense >= 1, "rung 1 never fired: {rungs:?}");
@@ -116,7 +146,7 @@ fn electrode_death_climbs_to_the_detour_rung() {
     assert!(rungs.aborted_ops >= 1, "the dead goal must abort its MO");
     assert!(!report.is_success());
     assert!(
-        !report.failures.is_empty() && report.failures[0].retries == config.retry_budget,
+        !report.failed.is_empty() && report.failed[0].retries == Ladder::default().retry_budget,
         "the failing job must consume the whole retry budget"
     );
     // The winning-rung record covers exactly the completed operations, and
@@ -154,17 +184,13 @@ fn reconfiguration_rung_relocates_a_dead_target_zone() {
     let mut rng = StdRng::seed_from_u64(7);
     let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::pristine(), &mut rng);
     let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-    let config = SupervisorConfig {
-        run: RunConfig {
-            // Room for the full ladder plus a relocated re-dispatch.
-            k_max: 8_000,
-            sensed_feedback: true,
-            ..RunConfig::default()
-        },
-        reconfig_budget: 2,
-        ..SupervisorConfig::default()
-    };
-    let report = Supervisor::new(config).run(&p, &mut chip, &mut router, &chaos, &mut rng);
+    let config = with_reconfig(RunConfig {
+        // Room for the full ladder plus a relocated re-dispatch.
+        k_max: 8_000,
+        sensed_feedback: true,
+        ..RunConfig::default()
+    });
+    let report = supervise(config, &p, &mut chip, &mut router, &chaos, &mut rng);
 
     assert!(
         report.rungs.reconfig >= 1,
@@ -208,16 +234,12 @@ fn reconfiguration_rung_relocates_a_dead_dispense_zone() {
     let mut rng = StdRng::seed_from_u64(11);
     let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::pristine(), &mut rng);
     let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-    let config = SupervisorConfig {
-        run: RunConfig {
-            k_max: 8_000,
-            sensed_feedback: true,
-            ..RunConfig::default()
-        },
-        reconfig_budget: 2,
-        ..SupervisorConfig::default()
-    };
-    let report = Supervisor::new(config).run(&p, &mut chip, &mut router, &chaos, &mut rng);
+    let config = with_reconfig(RunConfig {
+        k_max: 8_000,
+        sensed_feedback: true,
+        ..RunConfig::default()
+    });
+    let report = supervise(config, &p, &mut chip, &mut router, &chaos, &mut rng);
 
     assert!(
         report.rungs.reconfig >= 1,
@@ -236,7 +258,7 @@ fn reconfiguration_rung_relocates_a_dead_dispense_zone() {
 
 /// Dense stuck-at-0 sensors over a goal region wedge the position
 /// estimate: the watchdog must fire, the ladder must retry, and when the
-/// retries run out the supervisor must abort only that operation and keep
+/// retries run out the ladder must abort only that operation and keep
 /// its independent lane alive.
 #[test]
 fn unrecoverable_operation_is_aborted_and_dependents_skipped() {
@@ -263,26 +285,23 @@ fn unrecoverable_operation_is_aborted_and_dependents_skipped() {
     let mut rng = StdRng::seed_from_u64(3);
     let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::pristine(), &mut rng);
     let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-    let config = SupervisorConfig {
-        run: RunConfig {
-            sensed_feedback: true,
-            ..RunConfig::default()
-        },
-        ..SupervisorConfig::default()
-    };
-    let report = Supervisor::new(config).run(&p, &mut chip, &mut router, &chaos, &mut rng);
+    let config = FleetConfig::supervised(RunConfig {
+        sensed_feedback: true,
+        ..RunConfig::default()
+    });
+    let report = supervise(config, &p, &mut chip, &mut router, &chaos, &mut rng);
 
     // Graceful degradation: the poisoned lane is aborted and its
     // dependents skipped, while the honest lane still completes.
     assert!(report.rungs.aborted_ops >= 1, "no abort: {report:?}");
     assert!(report.completed_ops > 0, "nothing salvaged: {report:?}");
     assert!(!report.is_success());
-    assert!(!report.failures.is_empty());
+    assert!(!report.failed.is_empty());
     assert!(
         !report.skipped.is_empty(),
         "dependents not skipped: {report:?}"
     );
-    let failed_mos: Vec<usize> = report.failures.iter().map(|f| f.mo).collect();
+    let failed_mos: Vec<usize> = report.failed.iter().map(|f| f.mo).collect();
     for &skipped in &report.skipped {
         let mo = &p.operations()[skipped];
         assert!(
@@ -307,14 +326,11 @@ fn sensor_noise_drives_the_resense_rung() {
         let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
         let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
         let chaos = FaultPlan::none().with_stuck_sensors(ChipDims::PAPER, 0.01, &mut rng);
-        let config = SupervisorConfig {
-            run: RunConfig {
-                sensed_feedback: true,
-                ..RunConfig::default()
-            },
-            ..SupervisorConfig::default()
-        };
-        let report = Supervisor::new(config).run(&p, &mut chip, &mut router, &chaos, &mut rng);
+        let config = FleetConfig::supervised(RunConfig {
+            sensed_feedback: true,
+            ..RunConfig::default()
+        });
+        let report = supervise(config, &p, &mut chip, &mut router, &chaos, &mut rng);
         resensed += report.rungs.resense;
         completed += u32::from(report.is_success());
     }
@@ -340,28 +356,25 @@ fn random_fault_plans_never_panic_and_reports_stay_coherent() {
         let mut chip = Biochip::generate(ChipDims::PAPER, &DegradationConfig::paper(), &mut rng);
         let mut router = BaselineRouter::new();
         let chaos = FaultPlan::random(ChipDims::PAPER, 2_000, &mut rng);
-        let config = SupervisorConfig {
-            run: RunConfig {
-                sensed_feedback: sensed,
-                ..RunConfig::default()
-            },
-            ..SupervisorConfig::default()
-        };
-        let report = Supervisor::new(config).run(&p, &mut chip, &mut router, &chaos, &mut rng);
+        let config = FleetConfig::supervised(RunConfig {
+            sensed_feedback: sensed,
+            ..RunConfig::default()
+        });
+        let report = supervise(config, &p, &mut chip, &mut router, &chaos, &mut rng);
 
         assert_eq!(report.total_ops, total);
         assert!(report.completed_ops <= total);
         assert!(
-            report.completed_ops + report.failures.len() + report.skipped.len() <= total,
+            report.completed_ops + report.failed.len() + report.skipped.len() <= total,
             "seed {seed}: accounting exceeds the plan"
         );
         let frac = report.completion_fraction();
         assert!((0.0..=1.0).contains(&frac), "seed {seed}: fraction {frac}");
         assert_eq!(report.is_success(), report.status == RunStatus::Success);
-        for failure in &report.failures {
+        for failure in &report.failed {
             assert!(failure.mo < total, "seed {seed}: failure names a ghost MO");
             assert!(
-                failure.retries <= SupervisorConfig::default().retry_budget,
+                failure.retries <= Ladder::default().retry_budget,
                 "seed {seed}: retries over budget"
             );
             assert!(
@@ -376,7 +389,7 @@ fn random_fault_plans_never_panic_and_reports_stay_coherent() {
             assert!(skipped < total, "seed {seed}: skipped a ghost MO");
         }
         if report.status == RunStatus::Success {
-            assert!(report.failures.is_empty() && report.skipped.is_empty());
+            assert!(report.failed.is_empty() && report.skipped.is_empty());
         }
     }
 }

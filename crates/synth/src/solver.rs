@@ -1093,7 +1093,7 @@ fn solve_query(
 /// monotone from below, so the fixed point is the least fixed point — the
 /// correct maximal reachability probability.
 ///
-/// The structured methods first run the graph-only [`qualitative`]
+/// The structured methods first run the graph-only `qualitative`
 /// precomputation, pinning states to exactly 0 (no path to goal) or
 /// exactly 1 (an almost-surely-winning strategy exists, whose witness
 /// action becomes the state's choice) and iterating only the remainder —

@@ -10,8 +10,8 @@
 use meda::bioassay::{AssaySpec, Placer, RjHelper};
 use meda::grid::ChipDims;
 use meda::sim::{
-    AdaptiveConfig, AdaptiveRouter, BioassayRunner, Biochip, DegradationConfig, FaultMode,
-    HealthAwareScheduler, RunConfig,
+    AdaptiveConfig, AdaptiveRouter, Biochip, DegradationConfig, FaultMode, FaultPlan, FleetConfig,
+    FleetRunner, HealthAwareScheduler, OneRouter, RunConfig,
 };
 use meda_rng::SeedableRng;
 
@@ -61,14 +61,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
     let mut scheduler = HealthAwareScheduler::new();
-    let runner = BioassayRunner::new(RunConfig {
+    let runner = FleetRunner::new(FleetConfig::serial(RunConfig {
         k_max: 2_000,
         record_actuation: false,
         sensed_feedback: false,
-    });
+    }));
     for run in 1..=3 {
-        let outcome =
-            runner.run_with_scheduler(&plan, &mut chip, &mut router, &mut scheduler, &mut rng);
+        let outcome = runner.run(
+            &plan,
+            &mut chip,
+            &mut OneRouter(&mut router),
+            &mut scheduler,
+            &FaultPlan::none(),
+            &mut rng,
+        );
         println!(
             "run {run}: {:?} in {} cycles ({} re-syntheses so far, library {} hits / {} misses)",
             outcome.status,

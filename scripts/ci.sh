@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, tier-1 build + tests, the meda-check
+# Offline CI gate: formatting, lints, the API docs with warnings denied
+# (broken intra-doc links), tier-1 build + tests, the meda-check
 # replay corpus, the supervised-run smoke against its recorded output, the
 # concurrent-fleet smoke, the synthesis-service smoke,
 # the end-to-end benchmark smoke with its exact-counter check against the
@@ -95,6 +96,9 @@ stage() {
 
 fmt()           { cargo fmt --all -- --check; }
 clippy()        { cargo clippy --workspace --all-targets -- -D warnings; }
+# `cargo test` does not resolve intra-doc links; a deleted or private
+# link target only shows here.
+doc()           { RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps; }
 build_release() { cargo build --workspace --release; }
 # Early, cheap, and high-signal: every previously-shrunk counterexample in
 # crates/check/tests/corpus/ must still pass before the random suites run.
@@ -221,6 +225,7 @@ bench_e2e_smoke() {
 
 stage "fmt"            fmt
 stage "clippy"         clippy
+stage "doc"            doc
 stage "build-release"  build_release
 stage "replay-corpus"  replay_corpus
 stage "test"           tests

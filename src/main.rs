@@ -28,8 +28,8 @@ use meda::grid::{ChipDims, Rect};
 use meda::sim::{
     dependency_exemption, experiment::FaultClass, render, AdaptiveConfig, AdaptivePool,
     AdaptiveRouter, BaselineRouter, BioassayRunner, Biochip, DegradationConfig, FaultMode,
-    FaultPlan, FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, RecoveryRouter, Router,
-    RunConfig, Supervisor, SupervisorConfig,
+    FaultPlan, FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, Ladder, OneRouter,
+    RecoveryRouter, Router, RunConfig,
 };
 use meda::synth::{
     max_reach_probability, min_expected_cycles, synthesize, to_prism_explicit, Query, SolverOptions,
@@ -273,56 +273,56 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             Some(class) => class.plan(ChipDims::PAPER, severity, k_max, &mut rng),
             None => FaultPlan::none(),
         };
-        if supervised {
-            let report = Supervisor::new(SupervisorConfig {
-                run: config,
-                reconfig_budget: if reconfig { 2 } else { 0 },
-                ..SupervisorConfig::default()
-            })
-            .run(&plan, &mut chip, router.as_mut(), &chaos, &mut rng);
-            outln!(
-                "run {run}: {:?} in {} cycles — {}/{} ops complete, \
-                 ladder resense/resynth/detour/reconfig/abort {}/{}/{}/{}/{}",
-                report.status,
-                report.cycles,
-                report.completed_ops,
-                report.total_ops,
-                report.rungs.resense,
-                report.rungs.resynth,
-                report.rungs.detour,
-                report.rungs.reconfig,
-                report.rungs.aborted_ops
-            );
-            for failure in &report.failures {
-                outln!(
-                    "  aborted MO {} (job {}) after {} retries: {:?} near {}",
-                    failure.mo,
-                    failure.job,
-                    failure.retries,
-                    failure.status,
-                    failure.last_position
-                );
-            }
-            if !report.skipped.is_empty() {
-                outln!("  skipped dependents: {:?}", report.skipped);
+        let fleet = if supervised {
+            FleetConfig {
+                ladder: Some(Ladder {
+                    reconfig_budget: if reconfig { 2 } else { 0 },
+                    ..Ladder::default()
+                }),
+                ..FleetConfig::supervised(config)
             }
         } else {
-            let outcome = BioassayRunner::new(config).run_with_chaos(
-                &plan,
-                &mut chip,
-                router.as_mut(),
-                &mut FifoScheduler::new(),
-                &chaos,
-                &mut rng,
-            );
+            FleetConfig::serial(config)
+        };
+        let outcome = FleetRunner::new(fleet).run(
+            &plan,
+            &mut chip,
+            &mut OneRouter(router.as_mut()),
+            &mut FifoScheduler::new(),
+            &chaos,
+            &mut rng,
+        );
+        let r = outcome.rungs;
+        let tail = if supervised {
+            format!(
+                ", ladder resense/resynth/detour/reconfig/abort {}/{}/{}/{}/{}",
+                r.resense, r.resynth, r.detour, r.reconfig, r.aborted_ops
+            )
+        } else {
+            format!(" (total chip actuations {})", chip.total_actuations())
+        };
+        outln!(
+            "run {run}: {:?} in {} cycles — {}/{} ops complete{tail}",
+            outcome.status,
+            outcome.cycles,
+            outcome.completed_ops,
+            outcome.total_ops
+        );
+        if !supervised {
+            continue;
+        }
+        for failure in &outcome.failed {
             outln!(
-                "run {run}: {:?} in {} cycles — {}/{} ops complete (total chip actuations {})",
-                outcome.status,
-                outcome.cycles,
-                outcome.completed_ops,
-                outcome.total_ops,
-                chip.total_actuations()
+                "  aborted MO {} (job {}) after {} retries: {:?} near {}",
+                failure.mo,
+                failure.job,
+                failure.retries,
+                failure.status,
+                failure.last_position
             );
+        }
+        if !outcome.skipped.is_empty() {
+            outln!("  skipped dependents: {:?}", outcome.skipped);
         }
     }
     Ok(())

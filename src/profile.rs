@@ -23,8 +23,8 @@ use meda_bioassay::{benchmarks, BioassayPlan, RjHelper};
 use meda_grid::ChipDims;
 use meda_rng::SeedableRng;
 use meda_sim::{
-    AdaptiveConfig, AdaptiveRouter, BioassayRunner, Biochip, DegradationConfig, FaultPlan,
-    FifoScheduler, RunConfig, Supervisor, SupervisorConfig,
+    AdaptiveConfig, AdaptiveRouter, Biochip, DegradationConfig, FaultPlan, FifoScheduler,
+    FleetConfig, FleetRunner, OneRouter, RunConfig,
 };
 use meda_telemetry::{SpanEvent, Summary};
 
@@ -32,7 +32,8 @@ use meda_telemetry::{SpanEvent, Summary};
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileOptions {
     /// Close the sensing loop, inject stuck sensor bits at
-    /// [`ProfileOptions::stuck_rate`], and run under the supervisor ladder.
+    /// [`ProfileOptions::stuck_rate`], and run under the failure ladder
+    /// ([`FleetConfig::supervised`]).
     pub chaos: bool,
     /// Stuck-sensor rate used when [`ProfileOptions::chaos`] is on.
     pub stuck_rate: f64,
@@ -129,37 +130,32 @@ pub fn profile_assay(name: &str, options: &ProfileOptions) -> Result<ProfileRepo
         };
         {
             let _stage = registry.span("run");
-            if options.chaos {
-                let report = Supervisor::new(SupervisorConfig {
-                    run: config,
-                    ..SupervisorConfig::default()
-                })
-                .run(&plan, &mut chip, &mut router, &chaos, &mut rng);
-                outcome = format!(
-                    "{name}: {:?} in {} cycles — {}/{} ops (ladder {}/{}/{}/{})",
-                    report.status,
-                    report.cycles,
-                    report.completed_ops,
-                    report.total_ops,
-                    report.rungs.resense,
-                    report.rungs.resynth,
-                    report.rungs.detour,
-                    report.rungs.aborted_ops
-                );
+            let fleet = if options.chaos {
+                FleetConfig::supervised(config)
             } else {
-                let run = BioassayRunner::new(config).run_with_chaos(
-                    &plan,
-                    &mut chip,
-                    &mut router,
-                    &mut FifoScheduler::new(),
-                    &chaos,
-                    &mut rng,
-                );
-                outcome = format!(
-                    "{name}: {:?} in {} cycles — {}/{} ops",
-                    run.status, run.cycles, run.completed_ops, run.total_ops
-                );
-            }
+                FleetConfig::serial(config)
+            };
+            let run = FleetRunner::new(fleet).run(
+                &plan,
+                &mut chip,
+                &mut OneRouter(&mut router),
+                &mut FifoScheduler::new(),
+                &chaos,
+                &mut rng,
+            );
+            let r = run.rungs;
+            let ladder = if options.chaos {
+                format!(
+                    " (ladder {}/{}/{}/{})",
+                    r.resense, r.resynth, r.detour, r.aborted_ops
+                )
+            } else {
+                String::new()
+            };
+            outcome = format!(
+                "{name}: {:?} in {} cycles — {}/{} ops{ladder}",
+                run.status, run.cycles, run.completed_ops, run.total_ops
+            );
         }
     }
     registry.set_capture(false);

@@ -58,6 +58,14 @@ fn run_is_seed_deterministic() {
 }
 
 #[test]
+fn fleet_wider_than_any_plan_runs_without_panicking() {
+    let n = u64::MAX.to_string();
+    let (_, stderr, ok) = meda(&["fleet", "master-mix", "--n", &n, "--k-max", "50"]);
+    assert!(ok, "meda fleet --n {n} failed:\n{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn synth_prints_model_and_path() {
     let (stdout, _, ok) = meda(&[
         "synth",

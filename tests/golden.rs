@@ -77,13 +77,7 @@ fn render_trace(fixture: &Fixture) -> String {
         record_actuation: true,
         sensed_feedback: false,
     })
-    .run_with_scheduler(
-        &plan,
-        &mut chip,
-        &mut router,
-        &mut FifoScheduler::new(),
-        &mut rng,
-    );
+    .run(&plan, &mut chip, &mut router, &mut rng);
 
     let mut text = String::new();
     let _ = writeln!(

@@ -120,4 +120,16 @@ fn profile_emits_schema_stable_json() {
     let table = render_table(&report);
     assert!(table.contains("total"));
     assert!(table.contains("coverage"));
+
+    // A chaos profile runs under the failure ladder, which counts itself
+    // once per run.
+    let chaos = ProfileOptions {
+        chaos: true,
+        ..options
+    };
+    let report = profile_assay("master-mix", &chaos).expect("master-mix profiles under chaos");
+    assert!(
+        report.summary.counter("sim.ladder.runs") >= Some(1),
+        "the laddered run recorded no sim.ladder.runs"
+    );
 }

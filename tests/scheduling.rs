@@ -1,16 +1,37 @@
 //! Integration tests for the runtime MO-ordering extension and the
 //! scheduling-scheme configurations of Section VI-D.
 
-use meda::bioassay::{benchmarks, RjHelper};
+use meda::bioassay::{benchmarks, BioassayPlan, RjHelper};
 use meda::core::HealthField;
 use meda::degradation::HealthLevel;
 use meda::grid::{ChipDims, Grid};
 use meda::sim::{
     AdaptiveConfig, AdaptiveRouter, BaselineRouter, BioassayRunner, Biochip, DegradationConfig,
-    FifoScheduler, HealthAwareScheduler, RunConfig,
+    FaultPlan, FifoScheduler, FleetConfig, FleetOutcome, FleetRunner, HealthAwareScheduler,
+    MoScheduler, OneRouter, Router, RunConfig,
 };
 use meda_rng::SeedableRng;
 use meda_rng::StdRng;
+
+/// One chaos-free width-1 run of `plan` with `router`, ordered by
+/// `scheduler`.
+fn run_scheduled(
+    run: RunConfig,
+    plan: &BioassayPlan,
+    chip: &mut Biochip,
+    router: &mut dyn Router,
+    scheduler: &mut dyn MoScheduler,
+    rng: &mut StdRng,
+) -> FleetOutcome {
+    FleetRunner::new(FleetConfig::serial(run)).run(
+        plan,
+        chip,
+        &mut OneRouter(router),
+        scheduler,
+        &FaultPlan::none(),
+        rng,
+    )
+}
 
 /// Both schedulers complete every benchmark bioassay on a pristine chip,
 /// and FIFO reproduces `run` exactly.
@@ -30,7 +51,8 @@ fn schedulers_complete_all_benchmarks() {
         let mut rng = StdRng::seed_from_u64(99);
         let mut chip = Biochip::generate(dims, &DegradationConfig::pristine(), &mut rng);
         let mut router = BaselineRouter::new();
-        let fifo = runner.run_with_scheduler(
+        let fifo = run_scheduled(
+            RunConfig::default(),
             &plan,
             &mut chip,
             &mut router,
@@ -48,7 +70,8 @@ fn schedulers_complete_all_benchmarks() {
         let mut rng = StdRng::seed_from_u64(99);
         let mut chip = Biochip::generate(dims, &DegradationConfig::pristine(), &mut rng);
         let mut router = BaselineRouter::new();
-        let health_aware = runner.run_with_scheduler(
+        let health_aware = run_scheduled(
+            RunConfig::default(),
             &plan,
             &mut chip,
             &mut router,
@@ -76,12 +99,12 @@ fn health_aware_scheduler_respects_dependencies() {
         chip.apply_actuation(&pattern);
     }
     let mut router = AdaptiveRouter::new(AdaptiveConfig::paper());
-    let outcome = BioassayRunner::new(RunConfig {
-        k_max: 3_000,
-        record_actuation: false,
-        sensed_feedback: false,
-    })
-    .run_with_scheduler(
+    let outcome = run_scheduled(
+        RunConfig {
+            k_max: 3_000,
+            record_actuation: false,
+            sensed_feedback: false,
+        },
         &plan,
         &mut chip,
         &mut router,
