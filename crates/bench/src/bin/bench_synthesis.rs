@@ -38,7 +38,7 @@ use meda_audit::{
 };
 use meda_bench::{banner, header, row, BenchReport};
 use meda_core::{
-    frontier_set, Action, ActionConfig, ForceProvider, HealthField, Outcome, RoutingMdp,
+    frontier_set, mean_force, Action, ActionConfig, ForceProvider, HealthField, Outcome, RoutingMdp,
 };
 use meda_degradation::HealthLevel;
 use meda_grid::{ChipDims, Grid, Rect};
@@ -50,7 +50,7 @@ use meda_synth::{min_expected_cycles, SolverMethod, SolverOptions};
 /// against it would understate the original builder's allocation cost.
 fn transitions_baseline(delta: Rect, action: Action, field: &dyn ForceProvider) -> Vec<Outcome> {
     let mean =
-        |d: Rect, a: Action, dir| frontier_set(d, a, dir).map_or(0.0, |fr| field.mean_force(fr));
+        |d: Rect, a: Action, dir| frontier_set(d, a, dir).map_or(0.0, |fr| mean_force(field, fr));
     let outcome = |droplet, probability| Outcome {
         droplet,
         probability,

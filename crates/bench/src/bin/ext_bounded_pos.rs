@@ -6,7 +6,7 @@
 #![forbid(unsafe_code)]
 
 use meda_bench::{banner, bar, header, row};
-use meda_core::{transitions, ActionConfig, ForceProvider, RawField, RoutingMdp};
+use meda_core::{mean_force, transitions, ActionConfig, RawField, RoutingMdp};
 use meda_grid::{Cell, ChipDims, Grid, Rect};
 use meda_rng::StdRng;
 use meda_rng::{Rng, SeedableRng};
@@ -102,6 +102,6 @@ fn main() {
          the simulator — and giving bioassay designers an exact answer to \
          the Fig. 15 question per routing job: how much budget buys how \
          much certainty. Field mean force: {:.2}.",
-        field.mean_force(bounds)
+        mean_force(&field, bounds)
     );
 }

@@ -183,6 +183,7 @@ impl Action {
     /// Panics if a morphing action is applied to a droplet too thin to
     /// morph (height/width 1); guard with [`Action::is_enabled`] first.
     #[must_use]
+    #[inline]
     pub fn apply(self, delta: Rect) -> Rect {
         let Rect { xa, ya, xb, yb } = delta;
         match self {
@@ -258,6 +259,7 @@ impl Action {
     /// double-step guards — it is the condition under which
     /// [`Action::apply`] is defined.
     #[must_use]
+    #[inline]
     pub fn is_applicable(self, delta: Rect) -> bool {
         match self {
             Action::Widen(_) => delta.height() >= 2,
@@ -269,6 +271,7 @@ impl Action {
     /// The intermediate droplet of a double-step movement (shifted one
     /// step), `δ' = a_d(δ)`; `None` for other action classes.
     #[must_use]
+    #[inline]
     pub fn intermediate(self, delta: Rect) -> Option<Rect> {
         match self {
             Action::MoveDouble(d) => Some(Action::Move(d).apply(delta)),

@@ -18,19 +18,36 @@ use meda_grid::{Cell, Grid, Rect};
 /// count toward the frontier size `|Fr|`, so a frontier hanging off the chip
 /// weakens the mean pull — matching the physical situation of a droplet at
 /// the array edge.
+///
+/// `cell_force` is the only per-field hook: every frontier mean is
+/// [`mean_force`] over it, so the MDP builder's per-build force window and
+/// the plain [`transitions`](crate::transitions) path cannot disagree.
 pub trait ForceProvider {
     /// Relative EWOD force `F̄_ij ∈ [0, 1]` of the microelectrode at `cell`
     /// (0 for off-chip cells).
     fn cell_force(&self, cell: Cell) -> f64;
+}
 
-    /// Mean relative force over a frontier set,
-    /// `F̄(δ; a, d) / |Fr(δ; a, d)|` — the success probability contribution
-    /// of one direction (Section V-B).
-    fn mean_force(&self, frontier: Rect) -> f64 {
-        let count = frontier.area() as f64;
-        let total: f64 = frontier.cells().map(|c| self.cell_force(c)).sum();
-        total / count
-    }
+/// Mean relative force of `field` over a frontier set,
+/// `F̄(δ; a, d) / |Fr(δ; a, d)|` — the success probability contribution of
+/// one direction (Section V-B). The cell forces are summed in row-major
+/// order ([`Rect::cells`]); the MDP builder's force window sums in the same
+/// order, so both give the same bits.
+///
+/// # Examples
+///
+/// ```
+/// use meda_core::{mean_force, UniformField};
+/// use meda_grid::Rect;
+///
+/// let field = UniformField::new(0.5);
+/// assert_eq!(mean_force(&field, Rect::new(1, 1, 4, 1)), 0.5);
+/// ```
+#[must_use]
+pub fn mean_force(field: &(impl ForceProvider + ?Sized), frontier: Rect) -> f64 {
+    let count = frontier.area() as f64;
+    let total: f64 = frontier.cells().map(|c| field.cell_force(c)).sum();
+    total / count
 }
 
 /// How the controller turns a quantized health reading `H` into a
@@ -299,7 +316,7 @@ mod tests {
         forces[Cell::new(3, 2)] = 0.5;
         let field = RawField::new(forces);
         let fr = Rect::new(2, 2, 3, 2);
-        assert!((field.mean_force(fr) - 0.75).abs() < 1e-12);
+        assert!((mean_force(&field, fr) - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -308,7 +325,7 @@ mod tests {
         let field = DegradationField::new(Grid::new(dims, 1.0));
         // Frontier half on-chip, half off: mean force halves.
         let fr = Rect::new(3, 4, 3, 5);
-        assert!((field.mean_force(fr) - 0.5).abs() < 1e-12);
+        assert!((mean_force(&field, fr) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -333,7 +350,7 @@ mod tests {
     fn uniform_pristine_field_is_one_everywhere() {
         let f = UniformField::pristine();
         assert_eq!(f.cell_force(Cell::new(-100, 100)), 1.0);
-        assert_eq!(f.mean_force(Rect::new(0, 0, 9, 9)), 1.0);
+        assert_eq!(mean_force(&f, Rect::new(0, 0, 9, 9)), 1.0);
     }
 
     #[test]

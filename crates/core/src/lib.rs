@@ -52,7 +52,8 @@ mod transition;
 pub use action::{Action, Dir, Ordinal};
 pub use config::ActionConfig;
 pub use force::{
-    DegradationField, ForceProvider, HealthField, HealthInterpretation, RawField, UniformField,
+    mean_force, DegradationField, ForceProvider, HealthField, HealthInterpretation, RawField,
+    UniformField,
 };
 pub use frontier::frontier_set;
 pub use hazard::{hazard_digest, HazardBox, HazardedField};

@@ -553,8 +553,8 @@ impl RoutingMdp {
             "core.mdp.index_pages",
             index.page_offset.iter().filter(|&&p| p != EMPTY).count() as u64,
         );
-        telemetry.add("core.mdp.frontier_memo_hits", gen.hits);
-        telemetry.add("core.mdp.frontier_memo_misses", gen.misses);
+        telemetry.add("core.mdp.frontier_memo_hits", gen.memo.hits);
+        telemetry.add("core.mdp.frontier_memo_misses", gen.memo.misses);
 
         let mdp = Self {
             states,

@@ -1,6 +1,6 @@
 use meda_grid::Rect;
 
-use crate::{frontier_set, Action, Dir, ForceProvider};
+use crate::{frontier_set, mean_force, Action, Dir, ForceProvider};
 
 /// One probabilistic outcome of executing an action: the resulting droplet
 /// location and its probability.
@@ -16,8 +16,9 @@ pub struct Outcome {
 /// is executed on `delta` under force field `field` (Section V-B).
 ///
 /// Outcomes with probability 0 are kept (the paper's event spaces are
-/// fixed); outcomes that coincide (e.g. the `ε` event) are merged. The
-/// probabilities always sum to 1.
+/// fixed). The outcomes of one action are pairwise distinct droplets:
+/// every move translates by a nonzero offset and every morph changes the
+/// shape. The probabilities always sum to 1.
 ///
 /// * single-step `a_d`: succeeds with the mean frontier force, else stays;
 /// * double-step `a_dd`: second step conditioned on the first;
@@ -59,11 +60,13 @@ pub fn transitions(delta: Rect, action: Action, field: &dyn ForceProvider) -> Ve
 }
 
 /// [`transitions`] writing into a caller-provided buffer (cleared first),
-/// so bulk consumers — the MDP builder visits every (state, action) pair —
-/// reuse one allocation across the whole sweep.
+/// so a caller expanding many (state, action) pairs reuses one
+/// allocation.
 ///
-/// Outcomes that coincide are merged as they are pushed, which yields the
-/// same first-occurrence order and summed probabilities as [`transitions`].
+/// This is the plain path: every frontier mean reads
+/// [`ForceProvider::cell_force`] cell by cell. The MDP builder computes
+/// the same distributions from a per-build force window instead, and this
+/// function is the independent reference it is tested against.
 pub fn transitions_into(
     delta: Rect,
     action: Action,
@@ -73,8 +76,8 @@ pub fn transitions_into(
     expand_into(
         delta,
         action,
-        |r, d| mean_force(r, Action::Move(d), d, field),
-        |r, a, d| mean_force(r, a, d, field),
+        |r, d| frontier_mean(r, Action::Move(d), d, field),
+        |r, a, d| frontier_mean(r, a, d, field),
         out,
     );
 }
@@ -83,8 +86,12 @@ pub fn transitions_into(
 /// frontier means supplied by the caller. `move_mean(r, d)` is the mean of
 /// the single-step frontier `Fr(r; a_d, d)`; every move-class frontier of
 /// Table II reduces to it on a (possibly shifted) same-shape rectangle,
-/// which is what lets [`TransitionCache`] memoize them. Morphing frontiers
+/// which is what lets [`MoveMemo`] memoize them. Morphing frontiers
 /// go through `morph_mean` uncached.
+///
+/// The outcomes are pushed without merging: they are pairwise distinct by
+/// construction (nonzero translations; a morph changes the shape).
+#[inline]
 fn expand_into(
     delta: Rect,
     action: Action,
@@ -96,14 +103,14 @@ fn expand_into(
     if !action.is_applicable(delta) {
         // Morphing a degenerate droplet has an empty frontier: no pull,
         // the droplet stays with certainty.
-        push_merged(out, delta, 1.0);
+        push(out, delta, 1.0);
         return;
     }
     match action {
         Action::Move(d) => {
             let p = move_mean(delta, d);
-            push_merged(out, action.apply(delta), p);
-            push_merged(out, delta, 1.0 - p);
+            push(out, action.apply(delta), p);
+            push(out, delta, 1.0 - p);
         }
         Action::MoveDouble(d) => {
             let intermediate = action
@@ -111,9 +118,9 @@ fn expand_into(
                 .expect("double step has an intermediate");
             let p1 = move_mean(delta, d);
             let p2 = move_mean(intermediate, d);
-            push_merged(out, action.apply(delta), p1 * p2);
-            push_merged(out, intermediate, p1 * (1.0 - p2));
-            push_merged(out, delta, 1.0 - p1);
+            push(out, action.apply(delta), p1 * p2);
+            push(out, intermediate, p1 * (1.0 - p2));
+            push(out, delta, 1.0 - p1);
         }
         Action::MoveOrdinal(o) => {
             let (dx, dy) = o.delta();
@@ -122,41 +129,123 @@ fn expand_into(
             // the other axis (Table II).
             let pd = move_mean(delta.translate(dx, 0), o.vertical());
             let pd2 = move_mean(delta.translate(0, dy), o.horizontal());
-            push_merged(out, delta.translate(dx, dy), pd * pd2);
-            push_merged(out, delta.translate(0, dy), pd * (1.0 - pd2));
-            push_merged(out, delta.translate(dx, 0), (1.0 - pd) * pd2);
-            push_merged(out, delta, (1.0 - pd) * (1.0 - pd2));
+            push(out, delta.translate(dx, dy), pd * pd2);
+            push(out, delta.translate(0, dy), pd * (1.0 - pd2));
+            push(out, delta.translate(dx, 0), (1.0 - pd) * pd2);
+            push(out, delta, (1.0 - pd) * (1.0 - pd2));
         }
         Action::Widen(o) => {
             let p = morph_mean(delta, action, o.horizontal());
-            push_merged(out, action.apply(delta), p);
-            push_merged(out, delta, 1.0 - p);
+            push(out, action.apply(delta), p);
+            push(out, delta, 1.0 - p);
         }
         Action::Heighten(o) => {
             let p = morph_mean(delta, action, o.vertical());
-            push_merged(out, action.apply(delta), p);
-            push_merged(out, delta, 1.0 - p);
+            push(out, action.apply(delta), p);
+            push(out, delta, 1.0 - p);
         }
     }
 }
 
-/// Sentinel for an unallocated [`TransitionCache`] shape page.
+/// Sentinel for an unallocated [`MoveMemo`] shape page.
 const UNALLOCATED: u32 = u32::MAX;
 
-/// Per-build memo of single-step cardinal frontier means, the dominant
-/// cost of model construction.
-///
-/// Every move-class frontier of Table II is the single-step frontier
-/// `Fr(r; a_d, d)` of a same-shape rectangle: a double step evaluates it
-/// at `δ` and at the intermediate rectangle, and an ordinal move at `δ`
-/// shifted one cell along the other axis — rectangles the BFS also visits
-/// as states of their own. Construction therefore evaluates each
-/// (rectangle, direction) mean up to five times; this cache computes it
-/// once. Keyed like the builder's dense state index: lazily allocated
-/// `(w, h)` shape pages over anchor positions (extended one cell beyond
-/// the bounds for the shifted lookups), four direction slots per anchor.
+/// Per-build frontier means, the dominant cost of model construction: a
+/// [`ForceWindow`] read once per build, and a [`MoveMemo`] of single-step
+/// cardinal frontier means over it.
 pub(crate) struct TransitionCache<'f> {
+    window: ForceWindow<'f>,
+    pub(crate) memo: MoveMemo,
+}
+
+impl<'f> TransitionCache<'f> {
+    pub(crate) fn new(field: &'f dyn ForceProvider, bounds: Rect) -> Self {
+        Self {
+            window: ForceWindow::new(field, bounds.expand(2)),
+            memo: MoveMemo::new(bounds),
+        }
+    }
+
+    /// [`transitions_into`] with the frontier means read off the window
+    /// and the cardinal ones memoized.
+    #[inline]
+    pub(crate) fn transitions_into(&mut self, delta: Rect, action: Action, out: &mut Vec<Outcome>) {
+        let window = &self.window;
+        let memo = &mut self.memo;
+        expand_into(
+            delta,
+            action,
+            |r, d| memo.mean(window, r, d),
+            |r, a, d| frontier_set(r, a, d).map_or(0.0, |fr| window.mean(fr)),
+            out,
+        );
+    }
+}
+
+/// `cell_force` of every cell of a rectangle, read once into a flat
+/// row-major array. The builder's window is `bounds.expand(2)`, which
+/// covers every frontier of an in-bounds state: a double step's second
+/// frontier lies two cells past the droplet, every other frontier one.
+/// A frontier mean sums its slice of the window in the row-major order of
+/// [`mean_force`], so the bits equal the plain [`transitions_into`] path's.
+struct ForceWindow<'f> {
     field: &'f dyn ForceProvider,
+    rect: Rect,
+    /// Row length of the window.
+    stride: usize,
+    /// `cell_force` per window cell, row-major from the south-west corner.
+    forces: Vec<f64>,
+}
+
+impl<'f> ForceWindow<'f> {
+    fn new(field: &'f dyn ForceProvider, rect: Rect) -> Self {
+        Self {
+            field,
+            rect,
+            stride: rect.width() as usize,
+            forces: rect.cells().map(|c| field.cell_force(c)).collect(),
+        }
+    }
+
+    /// [`mean_force`] over a frontier line, summed off the window in the
+    /// same row-major order. A frontier outside the window (never one of
+    /// an in-bounds state) reads the field directly.
+    #[inline]
+    fn mean(&self, fr: Rect) -> f64 {
+        debug_assert!(
+            fr.width() == 1 || fr.height() == 1,
+            "frontier {fr} is not a line"
+        );
+        if !self.rect.contains_rect(fr) {
+            return mean_force(self.field, fr);
+        }
+        let x = (fr.xa - self.rect.xa) as usize;
+        let y = (fr.ya - self.rect.ya) as usize;
+        let first = y * self.stride + x;
+        let total: f64 = if fr.height() == 1 {
+            self.forces[first..first + fr.width() as usize].iter().sum()
+        } else {
+            self.forces[first..]
+                .iter()
+                .step_by(self.stride)
+                .take(fr.height() as usize)
+                .sum()
+        };
+        total / fr.area() as f64
+    }
+}
+
+/// Memo of single-step cardinal frontier means. Every move-class frontier
+/// of Table II is the single-step frontier `Fr(r; a_d, d)` of a same-shape
+/// rectangle: a double step evaluates it at `δ` and at the intermediate
+/// rectangle, and an ordinal move at `δ` shifted one cell along the other
+/// axis — rectangles the BFS also visits as states of their own.
+/// Construction therefore evaluates each (rectangle, direction) mean up to
+/// five times; the memo computes it once. Keyed like the builder's dense
+/// state index: lazily allocated `(w, h)` shape pages over anchor
+/// positions (extended one cell beyond the bounds for the shifted
+/// lookups), four direction slots per anchor.
+pub(crate) struct MoveMemo {
     /// Anchor-space origin: one cell outside the bounds corner.
     x0: i32,
     y0: i32,
@@ -180,12 +269,11 @@ pub(crate) struct TransitionCache<'f> {
     pub(crate) misses: u64,
 }
 
-impl<'f> TransitionCache<'f> {
-    pub(crate) fn new(field: &'f dyn ForceProvider, bounds: Rect) -> Self {
+impl MoveMemo {
+    fn new(bounds: Rect) -> Self {
         let nx = bounds.width() as usize;
         let ny = bounds.height() as usize;
         Self {
-            field,
             x0: bounds.xa - 1,
             y0: bounds.ya - 1,
             ax: nx + 2,
@@ -201,20 +289,9 @@ impl<'f> TransitionCache<'f> {
         }
     }
 
-    /// [`transitions_into`] with the cardinal frontier means memoized.
-    pub(crate) fn transitions_into(&mut self, delta: Rect, action: Action, out: &mut Vec<Outcome>) {
-        let field = self.field;
-        expand_into(
-            delta,
-            action,
-            |r, d| self.move_mean(r, d),
-            |r, a, d| mean_force(r, a, d, field),
-            out,
-        );
-    }
-
     /// Memoized mean of the single-step frontier `Fr(r; a_d, d)`.
-    fn move_mean(&mut self, r: Rect, d: Dir) -> f64 {
+    #[inline]
+    fn mean(&mut self, window: &ForceWindow<'_>, r: Rect, d: Dir) -> f64 {
         let w = r.width() as usize;
         let h = r.height() as usize;
         let ix = r.xa - self.x0;
@@ -226,10 +303,10 @@ impl<'f> TransitionCache<'f> {
             || ix as usize >= self.ax
             || iy as usize >= self.ay
         {
-            // Outside the cacheable window (cannot arise from the builder,
-            // which only expands in-bounds states).
+            // Outside the memo's anchor range (cannot arise from the
+            // builder, which only expands in-bounds states).
             self.misses += 1;
-            return mean_force(r, Action::Move(d), d, self.field);
+            return window.mean(move_frontier(r, d));
         }
         let base = if (w, h) == self.last_shape {
             self.last_base
@@ -252,7 +329,7 @@ impl<'f> TransitionCache<'f> {
         let cached = self.means[slot];
         if cached.is_nan() {
             self.misses += 1;
-            let m = mean_force(r, Action::Move(d), d, self.field);
+            let m = window.mean(move_frontier(r, d));
             self.means[slot] = m;
             m
         } else {
@@ -260,6 +337,37 @@ impl<'f> TransitionCache<'f> {
             cached
         }
     }
+}
+
+/// The single-step frontier `Fr(r; a_d, d)`, the full row or column facing
+/// `d` — `frontier_set(r, Action::Move(d), d)` without the generic table
+/// lookup.
+#[inline]
+fn move_frontier(r: Rect, d: Dir) -> Rect {
+    let fr = match d {
+        Dir::N => Rect {
+            ya: r.yb + 1,
+            yb: r.yb + 1,
+            ..r
+        },
+        Dir::S => Rect {
+            ya: r.ya - 1,
+            yb: r.ya - 1,
+            ..r
+        },
+        Dir::E => Rect {
+            xa: r.xb + 1,
+            xb: r.xb + 1,
+            ..r
+        },
+        Dir::W => Rect {
+            xa: r.xa - 1,
+            xb: r.xa - 1,
+            ..r
+        },
+    };
+    debug_assert_eq!(Some(fr), frontier_set(r, Action::Move(d), d));
+    fr
 }
 
 fn dir_slot(d: Dir) -> usize {
@@ -273,19 +381,21 @@ fn dir_slot(d: Dir) -> usize {
 
 /// Mean force over the frontier of `action` in direction `dir`, or 0 if the
 /// frontier is empty (the action cannot pull that way).
-fn mean_force(delta: Rect, action: Action, dir: crate::Dir, field: &dyn ForceProvider) -> f64 {
-    frontier_set(delta, action, dir).map_or(0.0, |fr| field.mean_force(fr))
+fn frontier_mean(delta: Rect, action: Action, dir: Dir, field: &dyn ForceProvider) -> f64 {
+    frontier_set(delta, action, dir).map_or(0.0, |fr| mean_force(field, fr))
 }
 
-fn push_merged(out: &mut Vec<Outcome>, droplet: Rect, probability: f64) {
-    if let Some(existing) = out.iter_mut().find(|m| m.droplet == droplet) {
-        existing.probability += probability;
-    } else {
-        out.push(Outcome {
-            droplet,
-            probability,
-        });
-    }
+/// Appends one outcome; an action's outcomes never coincide, so no merging.
+#[inline]
+fn push(out: &mut Vec<Outcome>, droplet: Rect, probability: f64) {
+    debug_assert!(
+        out.iter().all(|o| o.droplet != droplet),
+        "outcome {droplet} pushed twice"
+    );
+    out.push(Outcome {
+        droplet,
+        probability,
+    });
 }
 
 #[cfg(test)]

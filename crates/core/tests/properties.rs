@@ -7,7 +7,7 @@ use meda_check::{
     cases_from_env, check, choose_u32, default_corpus_dir, element, f64_range, Config, Gen,
 };
 use meda_core::{
-    frontier_set, transitions, Action, ActionConfig, Dir, ForceProvider, RawField, RoutingMdp,
+    frontier_set, mean_force, transitions, Action, ActionConfig, Dir, RawField, RoutingMdp,
     UniformField,
 };
 use meda_grid::{ChipDims, Grid, Rect};
@@ -236,7 +236,7 @@ fn mean_force_is_clipped_average() {
         let on_chip = fr.intersection(dims.bounds()).map_or(0, |c| c.area());
         let expected = 0.8 * f64::from(on_chip) / f64::from(fr.area());
         ensure(
-            (field.mean_force(fr) - expected).abs() < 1e-12,
+            (mean_force(&field, fr) - expected).abs() < 1e-12,
             "mean force != clipped average",
         )
     });

@@ -65,6 +65,7 @@ impl Rect {
     /// Panics if `xb < xa` or `yb < ya`. Use [`Rect::try_new`] for a fallible
     /// constructor.
     #[must_use]
+    #[inline]
     pub fn new(xa: i32, ya: i32, xb: i32, yb: i32) -> Self {
         Self::try_new(xa, ya, xb, yb).expect("rectangle corners out of order")
     }
@@ -74,6 +75,7 @@ impl Rect {
     /// # Errors
     ///
     /// Returns [`RectError`] if the corners are out of order.
+    #[inline]
     pub fn try_new(xa: i32, ya: i32, xb: i32, yb: i32) -> Result<Self, RectError> {
         if xb < xa || yb < ya {
             Err(RectError {
@@ -224,6 +226,7 @@ impl Rect {
 
     /// The rectangle translated by `(dx, dy)`.
     #[must_use]
+    #[inline]
     pub fn translate(&self, dx: i32, dy: i32) -> Rect {
         Rect::new(self.xa + dx, self.ya + dy, self.xb + dx, self.yb + dy)
     }

@@ -1,5 +1,5 @@
 use meda_bioassay::{BioassayPlan, MoId};
-use meda_core::{ForceProvider, HealthField};
+use meda_core::{mean_force, HealthField};
 use meda_grid::Rect;
 
 /// Runtime microfluidic-operation scheduler: picks which *ready* operation
@@ -95,7 +95,7 @@ impl HealthAwareScheduler {
         let mut count = 0u32;
         for job in jobs {
             let bounds: Rect = job.bounds;
-            total += health.mean_force(bounds) * bounds.area() as f64;
+            total += mean_force(health, bounds) * bounds.area() as f64;
             count += bounds.area();
         }
         if count == 0 {
