@@ -199,11 +199,15 @@ struct ForceWindow<'f> {
 
 impl<'f> ForceWindow<'f> {
     fn new(field: &'f dyn ForceProvider, rect: Rect) -> Self {
+        // Sized exactly: `cells()` gives no size hint, and collecting it
+        // would double the buffer up to twice the window.
+        let mut forces = Vec::with_capacity(rect.area() as usize);
+        forces.extend(rect.cells().map(|c| field.cell_force(c)));
         Self {
             field,
             rect,
             stride: rect.width() as usize,
-            forces: rect.cells().map(|c| field.cell_force(c)).collect(),
+            forces,
         }
     }
 

@@ -3,12 +3,15 @@
 //! soundness, and MDP structure. Failures shrink to minimal droplets and
 //! persist to the shared corpus for replay-first on subsequent runs.
 
+use std::collections::HashMap;
+
 use meda_check::{
-    cases_from_env, check, choose_u32, default_corpus_dir, element, f64_range, Config, Gen,
+    boolean, cases_from_env, check, choose_u32, default_corpus_dir, element, f64_range, vec_of,
+    weighted, Config, Gen,
 };
 use meda_core::{
-    frontier_set, mean_force, transitions, Action, ActionConfig, Dir, RawField, RoutingMdp,
-    UniformField,
+    frontier_set, mean_force, transitions, Action, ActionConfig, Dir, ForceProvider,
+    HazardHandling, RawField, RoutingMdp, UniformField,
 };
 use meda_grid::{ChipDims, Grid, Rect};
 
@@ -286,6 +289,196 @@ fn routing_mdp_is_well_formed() {
                 stats.transitions >= stats.choices,
                 "fewer transitions than choices",
             )
+        },
+    );
+}
+
+/// A cell force in `[0, 1]`: exactly 0 one time in four (its branches are
+/// pruned) and exactly 1 one time in ten.
+fn raw_force() -> Gen<f64> {
+    weighted(vec![
+        (5, Gen::constant(0.0)),
+        (2, Gen::constant(1.0)),
+        (13, f64_range(0.0, 1.0)),
+    ])
+}
+
+/// The builder's output restated by a plain breadth-first search: a
+/// `HashMap` state index and the per-cell [`transitions`] path, with the
+/// builder's exploration order, guards, zero-branch pruning and hazard
+/// sink.
+#[derive(Debug, Default)]
+struct ReferenceMdp {
+    states: Vec<Rect>,
+    goal: Vec<bool>,
+    sink: Option<usize>,
+    state_choice_start: Vec<u32>,
+    choice_action: Vec<Action>,
+    choice_branch_start: Vec<u32>,
+    branch_target: Vec<u32>,
+    branch_prob: Vec<f64>,
+}
+
+fn reference_mdp(
+    start: Rect,
+    goal: Rect,
+    bounds: Rect,
+    field: &dyn ForceProvider,
+    config: &ActionConfig,
+    hazard: HazardHandling,
+) -> ReferenceMdp {
+    let guard = match hazard {
+        HazardHandling::GuardDisable => bounds,
+        HazardHandling::AbsorbingSink => bounds.expand(4),
+    };
+    // The builder's sink sentinel: a rectangle strictly outside the bounds.
+    let sentinel = bounds.translate(2 * (bounds.xb - bounds.xa + 10), 0);
+    let mut r = ReferenceMdp {
+        states: vec![start],
+        goal: vec![goal.contains_rect(start)],
+        state_choice_start: vec![0],
+        choice_branch_start: vec![0],
+        ..ReferenceMdp::default()
+    };
+    let mut index = HashMap::from([(start, 0usize)]);
+    let mut i = 0;
+    while i < r.states.len() {
+        let delta = r.states[i];
+        if !r.goal[i] && r.sink != Some(i) {
+            for action in Action::ALL {
+                if !action.class_enabled(delta, config) || !guard.contains_rect(action.apply(delta))
+                {
+                    continue;
+                }
+                let mark = r.branch_target.len();
+                for o in transitions(delta, action, field) {
+                    if o.probability <= 0.0 {
+                        continue;
+                    }
+                    let key = if bounds.contains_rect(o.droplet) {
+                        o.droplet
+                    } else {
+                        sentinel
+                    };
+                    let next = *index.entry(key).or_insert_with(|| {
+                        r.states.push(key);
+                        r.goal.push(goal.contains_rect(key));
+                        r.states.len() - 1
+                    });
+                    if key == sentinel {
+                        r.sink = Some(next);
+                    }
+                    r.branch_target.push(next as u32);
+                    r.branch_prob.push(o.probability);
+                }
+                if r.branch_target.len() > mark {
+                    r.choice_action.push(action);
+                    r.choice_branch_start.push(r.branch_target.len() as u32);
+                }
+            }
+        }
+        r.state_choice_start.push(r.choice_action.len() as u32);
+        i += 1;
+    }
+    r
+}
+
+/// The builder's CSR arrays equal the reference search's bit for bit
+/// (`f64::to_bits`) on random raw fields with exact zeros, droplets of 1–4
+/// cells per axis, bounds flush with the chip edge or one cell inside it,
+/// all four action configurations and both hazard encodings. On a uniform
+/// field an indexing slip in the builder's force window or frontier memo
+/// cannot show; here every cell differs.
+#[test]
+fn routing_mdp_matches_reference() {
+    let field = choose_u32(4, 12)
+        .zip(choose_u32(4, 12))
+        .flat_map(|&(w, h)| {
+            let n = (w * h) as usize;
+            vec_of(raw_force(), n, n).map(move |forces| (w, h, forces.clone()))
+        });
+    let droplet = choose_u32(1, 4)
+        .zip(choose_u32(1, 4))
+        .zip(choose_u32(0, 11).zip(choose_u32(0, 11)));
+    let mode = choose_u32(0, 3).zip(boolean().zip(boolean()));
+    let gen = field.zip(droplet).zip(mode);
+    let configs = [
+        ActionConfig::cardinal_only(),
+        ActionConfig::moves_only(),
+        ActionConfig::default(),
+        ActionConfig {
+            double_step: false,
+            ordinal: false,
+            ..ActionConfig::default()
+        },
+    ];
+    let cases = config().with_cases(cases_from_env(64));
+    check(
+        "core-mdp-matches-reference",
+        &cases,
+        &gen,
+        |(((w, h, forces), ((dw, dh), (px, py))), (c, (sink, flush)))| {
+            let dims = ChipDims::new(*w, *h);
+            let mut values = forces.iter().copied();
+            let field = RawField::new(Grid::from_fn(dims, |_| values.next().unwrap_or(0.0)));
+            let bounds = if *flush {
+                dims.bounds()
+            } else {
+                Rect::new(2, 2, *w as i32 - 1, *h as i32 - 1)
+            };
+            let (bw, bh) = (bounds.width(), bounds.height());
+            let (dw, dh) = ((*dw).min(bw), (*dh).min(bh));
+            let start = Rect::with_size(
+                bounds.xa + (px % (bw - dw + 1)) as i32,
+                bounds.ya + (py % (bh - dh + 1)) as i32,
+                dw,
+                dh,
+            );
+            let (gw, gh) = ((dw + 1).min(bw), (dh + 1).min(bh));
+            let goal =
+                Rect::with_size(bounds.xb - gw as i32 + 1, bounds.yb - gh as i32 + 1, gw, gh);
+            let config = &configs[*c as usize];
+            let hazard = if *sink {
+                HazardHandling::AbsorbingSink
+            } else {
+                HazardHandling::GuardDisable
+            };
+            let mdp = RoutingMdp::build_with(start, goal, bounds, &field, config, hazard)
+                .map_err(|e| format!("build failed: {e:?}"))?;
+            let r = reference_mdp(start, goal, bounds, &field, config, hazard);
+            ensure(mdp.len() == r.states.len(), "state count differs")?;
+            for i in mdp.state_indices() {
+                ensure(mdp.state(i) == r.states[i], &format!("state {i} differs"))?;
+                ensure(
+                    mdp.is_goal(i) == r.goal[i],
+                    &format!("goal flag {i} differs"),
+                )?;
+            }
+            ensure(mdp.hazard_sink() == r.sink, "hazard sink differs")?;
+            let csr = mdp.csr();
+            ensure(
+                csr.state_choice_start == r.state_choice_start,
+                "state offsets differ",
+            )?;
+            ensure(
+                csr.choice_action == r.choice_action,
+                "choice actions differ",
+            )?;
+            ensure(
+                csr.choice_branch_start == r.choice_branch_start,
+                "choice offsets differ",
+            )?;
+            ensure(
+                csr.branch_target == r.branch_target,
+                "branch targets differ",
+            )?;
+            for (b, (p, q)) in csr.branch_prob.iter().zip(&r.branch_prob).enumerate() {
+                ensure(
+                    p.to_bits() == q.to_bits(),
+                    &format!("branch {b}: probability {p:e} != reference {q:e}"),
+                )?;
+            }
+            Ok(())
         },
     );
 }

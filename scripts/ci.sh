@@ -8,13 +8,15 @@
 # synthesis bench, the full-mode hard-chaos degradation matrix, the
 # full-mode concurrent-makespan bench, the full-mode serve-latency bench
 # (each checks its own claims and fails on any drift of a deterministic
-# value from its committed BENCH_*.json baseline) and the profile smoke.
+# value from its committed BENCH_*.json baseline), the MDP builder's
+# reference property at 2000 cases and the profile smoke.
 # Everything runs without network access (the workspace has zero
 # third-party dependencies — see DESIGN.md §6).
 #
 # Usage: scripts/ci.sh [--quick]
-#   --quick   skip the full-mode bench bins and the profile smoke (the
-#             slow stages) — for fast local loops.
+#   --quick   skip the full-mode bench bins, the 2000-case builder
+#             property and the profile smoke (the slow stages) — for fast
+#             local loops.
 #
 # Each stage is a named function run through `stage <name> <fn>`. A failed
 # stage is recorded and the run carries on, so one failure does not hide
@@ -213,6 +215,13 @@ makespan_full() { cargo run --release -p meda-bench --bin bench_makespan; }
 # The three-assay translated-geometry mix: every warm request hits the
 # canonical cache, and warm hits are >= 10x faster than cold synthesis.
 serve_full()    { cargo run --release -p meda-bench --bin bench_serve; }
+# The MDP builder (force window, frontier memo, dense index) against a
+# HashMap BFS over the per-cell transitions() path, bit for bit, on 2000
+# random raw fields in release — ten times the default case count.
+mdp_reference_full() {
+  MEDA_CHECK_CASES=2000 cargo test --release -p meda-core --test properties \
+    routing_mdp_matches_reference
+}
 profile_smoke() { cargo run --release -- profile covid-rat; }
 # End-to-end benchmark smoke: every workload runs briefly, then
 # --verify-counts reruns them at the ledger's size and compares every
@@ -244,9 +253,10 @@ if [ "$QUICK" -eq 0 ]; then
   stage "chaos-full"              chaos_full
   stage "makespan-full"           makespan_full
   stage "serve-full"              serve_full
+  stage "mdp-reference-full"      mdp_reference_full
   stage "profile-smoke"           profile_smoke
 else
   echo
-  echo "==> --quick: skipping bench-full, chaos-full, makespan-full, serve-full, profile-smoke"
+  echo "==> --quick: skipping bench-full, chaos-full, makespan-full, serve-full, mdp-reference-full, profile-smoke"
 fi
 [ "${#FAILED_STAGES[@]}" -eq 0 ]
