@@ -457,7 +457,8 @@ impl RoutingMdp {
         let mut branch_prob: Vec<f64> = Vec::with_capacity(est_states * 8);
 
         // One outcome buffer for the whole exploration (cleared and
-        // refilled per action, so the hot loop never allocates), and a
+        // refilled per action, so the hot loop never allocates), the
+        // field's forces read once into a window around the bounds, and a
         // memo of cardinal frontier means — double-step and ordinal
         // frontiers revisit the same (rectangle, direction) pairs.
         let mut outcomes: Vec<Outcome> = Vec::with_capacity(4);

@@ -307,7 +307,7 @@ fn raw_force() -> Gen<f64> {
 /// `HashMap` state index and the per-cell [`transitions`] path, with the
 /// builder's exploration order, guards, zero-branch pruning and hazard
 /// sink.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct ReferenceMdp {
     states: Vec<Rect>,
     goal: Vec<bool>,
